@@ -57,10 +57,14 @@ def _cmd_compute(args):
             perm = _permutation(args.permute_order, len(g.edges))
             g = graphs.Graph(g.vertices, [g.edges[p] for p in perm])
         method = args.method or "broken_circuit"
-        poly = graphs.chromatic_polynomial(g, method)
-        out = {"kind": kind, "method": method, "polynomial": poly.to_json()}
+        out = {"kind": kind, "method": method}
         if method == "broken_circuit":
-            out["counts"] = list(graphs.whitney_edge_counts(g))
+            counts = graphs.whitney_edge_counts(g)
+            out["counts"] = list(counts)
+            poly = graphs._chromatic_from_counts(g, counts)
+        else:
+            poly = graphs.chromatic_polynomial(g, method)
+        out["polynomial"] = poly.to_json()
         _emit(args, out)
     elif kind == "graph-scp":
         g = io.parse_graph(io.load_instance(args.file))

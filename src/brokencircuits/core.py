@@ -31,6 +31,9 @@ DEFAULT_ENUMERATION_CAP = 24
 CANCELLATION_CAP = 18
 # sum_full is only offered as a cross-check above this size
 FULL_SUM_FEASIBLE = 20
+# iter_avoiding_masks expands a free suffix of at most this many elements
+# from a table of 2^SUFFIX_CUBE_BITS masks
+SUFFIX_CUBE_BITS = 10
 
 
 def _bits(mask):
@@ -232,33 +235,51 @@ def _broken_masks(ground, broken):
 def iter_avoiding_masks(ground, broken):
     """Yield bitmasks of every subset that includes no broken set.
 
-    Depth-first over elements in increasing order.  Each broken set is
-    indexed by its maximum element; when the walk considers adding element
-    e, any broken set with maximum e whose remaining elements are already
-    present forbids the inclusion branch.  An empty broken set forbids
-    everything.
+    The walk decides the elements in increasing position, exclusion before
+    inclusion, so the masks come out in a fixed order: position 0 is the
+    most significant choice and "absent" sorts before "present".  Each
+    broken set is indexed by its maximum element; when the walk considers
+    adding element e, any broken set with maximum e whose remaining
+    elements are already present forbids the inclusion branch.  An empty
+    broken set forbids everything.
+
+    The walk keeps an explicit stack: it follows the exclusion branch at
+    once and pushes the allowed inclusion branch, so at most one entry per
+    position is pending and the working memory is O(n).  Once no broken
+    set has its maximum at or above a position, every subset of the
+    remaining elements survives.  That suffix (its last SUFFIX_CUBE_BITS
+    positions at most) is expanded from a table built once per call, in
+    the same order.  No list of the surviving subsets is built.
     """
     n = len(ground)
     masks = _broken_masks(ground, broken)
     if any(m == 0 for m in masks):
         return
-    by_max = [[] for _ in range(n)]
+    by_max = [() for _ in range(n)]
+    cube = max(n - SUFFIX_CUBE_BITS, 0)
     for m in masks:
         top = m.bit_length() - 1
-        by_max[top].append(m ^ (1 << top))
-
-    def walk(pos, acc):
-        if pos == n:
-            yield acc
-            return
-        yield from walk(pos + 1, acc)
-        for prefix in by_max[pos]:
-            if acc & prefix == prefix:
-                break
-        else:
-            yield from walk(pos + 1, acc | (1 << pos))
-
-    yield from walk(0, 0)
+        by_max[top] += (m ^ (1 << top),)
+        cube = max(cube, top + 1)
+    # every subset of positions cube..n-1, in walk order
+    suffix = [0]
+    for pos in range(n - 1, cube - 1, -1):
+        bit = 1 << pos
+        suffix += [s | bit for s in suffix]
+    stack = [(0, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        pos, acc = pop()
+        while pos < cube:
+            for prefix in by_max[pos]:
+                if acc & prefix == prefix:
+                    break
+            else:
+                push((pos + 1, acc | (1 << pos)))
+            pos += 1
+        for s in suffix:
+            yield acc | s
 
 
 def avoiding_subsets(ground, broken):

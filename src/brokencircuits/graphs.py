@@ -51,10 +51,10 @@ class Graph:
         for u, v in self.edges:
             self._adj[self._vi[u]].add(self._vi[v])
             self._adj[self._vi[v]].add(self._vi[u])
-        # closed neighbourhood of vertex i as a vertex bitmask
-        self._nmask = [
-            (1 << i) | sum(1 << j for j in self._adj[i]) for i in range(n)
-        ]
+        # closed neighbourhood of vertex i as a vertex bitmask, keyed by 1 << i
+        self._nmask = {
+            1 << i: (1 << i) | sum(1 << j for j in self._adj[i]) for i in range(n)
+        }
         self._edge_ends = [(self._vi[u], self._vi[v]) for u, v in self.edges]
         self._edge_index = {frozenset(e): i for i, e in enumerate(self.edges)}
 
@@ -95,7 +95,7 @@ class Graph:
             pass
         mask = 0
         for v in vertices:
-            mask |= self._nmask[self._vi[v]]
+            mask |= self._nmask[1 << self._vi[v]]
         return frozenset(self.vertices[i] for i in range(len(self.vertices)) if mask >> i & 1)
 
     def spanning_component_count(self, edge_ids):
@@ -139,27 +139,40 @@ class Graph:
             i += 1
         return count
 
+    def _closed_mask(self, vertex_mask):
+        """N[A] as a vertex bitmask, for A given as a vertex bitmask."""
+        nmask = self._nmask
+        nb = 0
+        while vertex_mask:
+            low = vertex_mask & -vertex_mask
+            nb |= nmask[low]
+            vertex_mask ^= low
+        return nb
+
     def _induced_stats_of_mask(self, vertex_mask):
-        """(components, edges) of the subgraph induced by a vertex bitmask."""
-        n = len(self.vertices)
-        parent = {i: i for i in range(n) if vertex_mask >> i & 1}
+        """(components, edges) of the subgraph induced by a vertex bitmask.
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        count = len(parent)
-        m = 0
-        for a, b in self._edge_ends:
-            if vertex_mask >> a & 1 and vertex_mask >> b & 1:
-                m += 1
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    count -= 1
-        return count, m
+        Floods each component through the closed-neighbourhood masks; every
+        vertex is reached once, and its neighbours inside the mask count
+        its induced edges (each edge is seen from both ends).
+        """
+        nmask = self._nmask
+        count = 0
+        closed_degrees = 0
+        rest = vertex_mask
+        while rest:
+            count += 1
+            frontier = rest & -rest
+            rest ^= frontier
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                inside = nmask[low] & vertex_mask
+                closed_degrees += inside.bit_count()
+                new = inside & rest
+                rest ^= new
+                frontier |= new
+        return count, (closed_degrees - vertex_mask.bit_count()) // 2
 
     def induced_component_count(self, vertices):
         mask = 0
@@ -237,6 +250,18 @@ def whitney_edge_counts(graph, cap=CYCLE_CAP):
     return enumerate_avoiding(edge_ground(graph), edge_broken_circuits(graph, cap))
 
 
+def _chromatic_from_counts(graph, counts):
+    """P(G, x) from the Whitney counts: the coefficient of x^{|V|-k} is (-1)^k b_k."""
+    n = len(graph.vertices)
+    coeffs = [0] * (n + 1)
+    for k, b in enumerate(counts):
+        if b and k > n:
+            raise RuntimeError("broken-circuit-free subset larger than a spanning forest")
+        if k <= n:
+            coeffs[n - k] = -b if k & 1 else b
+    return IntPolynomial(coeffs)
+
+
 def chromatic_polynomial(graph, method="broken_circuit", cycle_cap=CYCLE_CAP):
     """P(G, x) = sum over edge subsets A of (-1)^|A| x^{c(V, A)}.
 
@@ -244,22 +269,14 @@ def chromatic_polynomial(graph, method="broken_circuit", cycle_cap=CYCLE_CAP):
     counts broken-circuit-free subsets, whose cardinality classes give the
     coefficients directly.
     """
-    n = len(graph.vertices)
     if method == "full":
-        coeffs = [0] * (n + 1)
+        coeffs = [0] * (len(graph.vertices) + 1)
         for mask in range(1 << len(graph.edges)):
             c = graph._spanning_components_of_mask(mask)
             coeffs[c] += -1 if mask.bit_count() & 1 else 1
         return IntPolynomial(coeffs)
     if method == "broken_circuit":
-        counts = whitney_edge_counts(graph, cycle_cap)
-        coeffs = [0] * (n + 1)
-        for k, b in enumerate(counts):
-            if b and k > n:
-                raise RuntimeError("broken-circuit-free subset larger than a spanning forest")
-            if k <= n:
-                coeffs[n - k] = -b if k & 1 else b
-        return IntPolynomial(coeffs)
+        return _chromatic_from_counts(graph, whitney_edge_counts(graph, cycle_cap))
     raise SchemaError(f"unknown chromatic method {method!r}")
 
 
@@ -310,22 +327,23 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
         raise PreconditionError("graph is not cyclically claw-free")
     n = len(graph.vertices)
     coeffs = [0] * (n + 1)
+    stats = graph._induced_stats_of_mask
     if method == "direct":
         for mask in range(1 << n):
-            c = graph._induced_stats_of_mask(mask)[0]
+            c = stats(mask)[0]
             coeffs[c] += -1 if mask.bit_count() & 1 else 1
         return IntPolynomial(coeffs)
     ground = OrderedGroundSet(graph.vertices)
     broken = vertex_broken_circuits(graph, cap)
     if method == "restricted":
         for mask in iter_avoiding_masks(ground, broken):
-            c = graph._induced_stats_of_mask(mask)[0]
+            c = stats(mask)[0]
             coeffs[c] += -1 if mask.bit_count() & 1 else 1
         return IntPolynomial(coeffs)
     if method == "acyclic":
         for mask in iter_avoiding_masks(ground, broken):
             size = mask.bit_count()
-            m = graph._induced_stats_of_mask(mask)[1]
+            m = stats(mask)[1]
             coeffs[size - m] += -1 if size & 1 else 1
         return IntPolynomial(coeffs)
     raise SchemaError(f"unknown method {method!r}")
@@ -356,41 +374,17 @@ def domination_polynomial(graph, method="direct", broken=None):
     if n > 20:
         raise CapExceeded("domination polynomial needs |V| <= 20")
     full = (1 << n) - 1
+    closed = graph._closed_mask
     if method == "direct":
         coeffs = [0] * (n + 1)
         for mask in range(1 << n):
-            nb = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    nb |= graph._nmask[i]
-                m >>= 1
-                i += 1
-            if nb == full:
+            if closed(mask) == full:
                 coeffs[mask.bit_count()] += 1
         return IntPolynomial(coeffs)
 
-    def weight_into(coeffs, mask):
-        nb = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                nb |= graph._nmask[i]
-            m >>= 1
-            i += 1
-        j = n - nb.bit_count()
-        sign = -1 if mask.bit_count() & 1 else 1
-        for i in range(j + 1):
-            coeffs[i] += sign * comb(j, i)
-
     if method == "alternating":
-        coeffs = [0] * (n + 1)
-        for mask in range(1 << n):
-            weight_into(coeffs, mask)
-        return IntPolynomial(coeffs)
-    if method == "pruned":
+        masks = range(1 << n)
+    elif method == "pruned":
         for i in range(n):
             if not graph._adj[i]:
                 raise PreconditionError(
@@ -407,12 +401,23 @@ def domination_polynomial(graph, method="direct", broken=None):
                     raise PreconditionError(
                         f"{sorted(map(repr, b))} is not a broken neighbourhood of the graph"
                     )
-        ground = OrderedGroundSet(graph.vertices)
-        coeffs = [0] * (n + 1)
-        for mask in iter_avoiding_masks(ground, broken):
-            weight_into(coeffs, mask)
-        return IntPolynomial(coeffs)
-    raise SchemaError(f"unknown method {method!r}")
+        masks = iter_avoiding_masks(OrderedGroundSet(graph.vertices), broken)
+    else:
+        raise SchemaError(f"unknown method {method!r}")
+    # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j
+    by_j = [0] * (n + 1)
+    for mask in masks:
+        j = n - closed(mask).bit_count()
+        if mask.bit_count() & 1:
+            by_j[j] -= 1
+        else:
+            by_j[j] += 1
+    coeffs = [0] * (n + 1)
+    for j, count in enumerate(by_j):
+        if count:
+            for i in range(j + 1):
+                coeffs[i] += count * comb(j, i)
+    return IntPolynomial(coeffs)
 
 
 def degree1_upset_order(graph):

@@ -219,20 +219,41 @@ def parse_set_function(obj, ground):
         allowed = {"kind", "entries", "default"}
         if not set(obj) <= allowed or "entries" not in obj:
             raise SchemaError("table functions take 'entries' and optional 'default'")
-        default = int(obj.get("default", "0"))
+        default = _table_int(obj.get("default", "0"))
         table = {}
         for subset, value in obj["entries"]:
-            table[frozenset(_label(x) for x in subset)] = int(value)
+            table[frozenset(_label(x) for x in subset)] = _table_int(value)
         return TableSetFunction(ground, table, 0, "table", default=default)
     raise SchemaError(f"unknown function kind {kind!r}")
+
+
+def _is_table_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _table_int(value):
+    """A table value: a JSON integer or a decimal integer string."""
+    if _is_table_int(value):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"table values must be integers, got {value!r}")
 
 
 def whitney_to_obj(ground, circuits, f, broken="all", seed=None):
     if isinstance(f, TableSetFunction):
         entries = []
         for mask in range(1 << len(ground)):
+            value = f._table[mask]
+            if not _is_table_int(value):
+                raise SchemaError(
+                    f"whitney instances hold integer tables only, got {type(value).__name__} values"
+                )
             entries.append(
-                [sorted((_unlabel(e) for e in ground.subset_of(mask)), key=repr), str(f._table[mask])]
+                [sorted((_unlabel(e) for e in ground.subset_of(mask)), key=repr), str(value)]
             )
         function = {"kind": "table", "entries": entries}
     else:

@@ -88,7 +88,10 @@ class Matroid:
         return f"Matroid({len(self.elements)} elements, {len(self.circuits)} circuits)"
 
     def _is_independent_mask(self, mask):
-        return not any(cm & mask == cm for cm in self._circuit_masks)
+        for cm in self._circuit_masks:
+            if cm & mask == cm:
+                return False
+        return True
 
     def _rank_mask(self, mask):
         acc = 0
@@ -136,13 +139,15 @@ class Matroid:
 def broken_circuit_counts(matroid):
     """b_k: number of k-subsets including no broken circuit of the matroid.
 
-    Every such subset is independent, which is asserted along the way.
+    Every such subset is independent, which is checked against every
+    circuit along the way.
     """
     ground = OrderedGroundSet(matroid.elements, cap=max(24, len(matroid.elements)))
     broken = [bc.subset for bc in derive_broken_circuits(CircuitFamily(matroid.circuits), ground)] if matroid.circuits else []
     counts = [0] * (len(matroid.elements) + 1)
+    independent = matroid._is_independent_mask
     for mask in iter_avoiding_masks(ground, broken):
-        if matroid._rank_mask(mask) != mask.bit_count():
+        if not independent(mask):
             raise RuntimeError("broken-circuit-free subset is dependent")
         counts[mask.bit_count()] += 1
     return tuple(counts)

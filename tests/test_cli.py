@@ -1,6 +1,10 @@
 import json
+import random
 
-from brokencircuits import cli, io, verify
+import pytest
+
+from brokencircuits import cli, core, graphs, io, verify
+from brokencircuits.errors import SchemaError
 from brokencircuits.core import OrderedGroundSet, SetFunction, sum_full, sum_pruned
 
 def run(capsys, *argv):
@@ -26,6 +30,23 @@ class TestCompute:
         assert code == 0
         assert out["polynomial"] == {"var": "x", "coeffs": ["0", "2", "-3", "1"]}
         assert out["counts"] == [1, 3, 2, 0]
+
+    def test_graph_chromatic_walks_once(self, tmp_path, capsys, monkeypatch):
+        walks = []
+        walk = graphs.enumerate_avoiding
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(graphs, "enumerate_avoiding", counted)
+        path = write(tmp_path, "k3.json", K3)
+        assert cli.main(["compute", "graph-chromatic", path]) == 0
+        assert capsys.readouterr().out == (
+            '{"counts":[1,3,2,0],"kind":"graph-chromatic","method":"broken_circuit",'
+            '"polynomial":{"coeffs":["0","2","-3","1"],"var":"x"}}\n'
+        )
+        assert len(walks) == 1
 
     def test_graph_chromatic_full_matches(self, tmp_path, capsys):
         path = write(tmp_path, "k3.json", K3)
@@ -299,6 +320,38 @@ class TestExitCodes:
     def test_unknown_kind(self, capsys):
         code, _, err = run(capsys, "compute", "nonsense", "--n", "3")
         assert code == 2
+
+
+class TestWhitneyTables:
+    def test_int_table_round_trips(self):
+        ground, circuits, f = core.random_cancelling_instance(random.Random(1), 5)
+        obj = io.whitney_to_obj(ground, circuits, f)
+        _, _, _, parsed = io.parse_whitney(json.loads(json.dumps(obj)))
+        assert [parsed._table[m] for m in range(32)] == f._table
+
+    def test_polynomial_table_is_refused_on_write(self):
+        ground, circuits, f = core.random_cancelling_instance(random.Random(1), 5, "poly")
+        with pytest.raises(SchemaError, match="integer"):
+            io.whitney_to_obj(ground, circuits, f)
+
+    @pytest.mark.parametrize("value", ["IntPolynomial([1, 2])", "1.5", 1.5, True, None, [1]])
+    def test_non_integer_entry_exits_2(self, tmp_path, capsys, value):
+        instance = {
+            "kind": "whitney",
+            "elements": ["a", "b"],
+            "circuits": [["a", "b"]],
+            "function": {
+                "kind": "table",
+                "entries": [[[], "1"], [["a"], "-1"], [["b"], value], [["a", "b"], "1"]],
+            },
+        }
+        with pytest.raises(SchemaError):
+            io.parse_whitney(instance)
+        path = write(tmp_path, "w.json", instance)
+        code, out, err = run(capsys, "compute", "whitney-sum", path)
+        assert code == 2
+        assert out is None
+        assert "table values must be integers" in err
 
 
 class TestGenerate:

@@ -216,25 +216,75 @@ class TestTheoremReduction:
         assert sum_pruned(f, g, [{0}]) == 4
 
 
+def _recursive_avoiding(n, broken_masks):
+    # reference walk: exclusion before inclusion, position by position
+    if 0 in broken_masks:
+        return []
+    out = []
+
+    def walk(pos, acc):
+        if pos == n:
+            out.append(acc)
+            return
+        walk(pos + 1, acc)
+        grown = acc | (1 << pos)
+        if not any(bm & grown == bm and bm.bit_length() - 1 == pos for bm in broken_masks):
+            walk(pos + 1, grown)
+
+    walk(0, 0)
+    return out
+
+
+def _brute_avoiding(n, broken_masks):
+    return {m for m in range(1 << n) if not any(m & bm == bm for bm in broken_masks)}
+
+
 def test_avoiding_masks_match_brute_filter():
-    # the pruning walk against a naive containment filter over all masks
+    # the pruning walk against a naive containment filter over all masks,
+    # and its yield order against a recursive reference walk
     from brokencircuits.core import iter_avoiding_masks
 
     rng = random.Random(77)
-    for _ in range(80):
-        n = rng.randint(1, 9)
+    for trial in range(80):
+        n = rng.randint(1, 16)
         ground = OrderedGroundSet(range(n))
         broken = [
             frozenset(rng.sample(range(n), rng.randint(0, min(3, n))))
             for _ in range(rng.randint(0, 4))
         ]
+        if trial % 4 == 0:
+            # a broken set ending at the last element leaves no free suffix
+            broken.append(frozenset(rng.sample(range(n - 1), min(2, n - 1))) | {n - 1})
         got = list(iter_avoiding_masks(ground, broken))
-        assert len(got) == len(set(got))
         bmasks = [ground.mask_of(b) for b in broken]
-        want = {
-            m for m in range(1 << n) if not any(m & bm == bm for bm in bmasks)
-        }
-        assert set(got) == want
+        assert got == _recursive_avoiding(n, bmasks)
+        assert len(got) == len(set(got))
+        assert set(got) == _brute_avoiding(n, bmasks)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 10, 11, 16])
+def test_avoiding_masks_edge_families(n):
+    # no broken sets: the whole cube; an empty broken set: nothing
+    from brokencircuits.core import iter_avoiding_masks
+
+    ground = OrderedGroundSet(range(n))
+    assert list(iter_avoiding_masks(ground, [])) == _recursive_avoiding(n, [])
+    assert list(iter_avoiding_masks(ground, [frozenset()])) == []
+    if n >= 2:
+        last = [frozenset({0, n - 1})]
+        got = list(iter_avoiding_masks(ground, last))
+        assert got == _recursive_avoiding(n, [1 | 1 << (n - 1)])
+        assert len(got) == 3 << (n - 2)
+
+
+def test_avoiding_masks_is_a_lazy_generator():
+    import inspect
+
+    from brokencircuits.core import iter_avoiding_masks
+
+    assert inspect.isgeneratorfunction(iter_avoiding_masks)
+    walk = iter_avoiding_masks(OrderedGroundSet(range(20)), [frozenset({3, 19})])
+    assert [next(walk) for _ in range(4)] == [0, 1 << 19, 1 << 18, 3 << 18]
 
 
 def _all_subfamilies(broken):

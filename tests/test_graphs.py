@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
 from brokencircuits.algebra import BiPolynomial, IntPolynomial
@@ -14,6 +16,7 @@ from brokencircuits.graphs import (
     domination_polynomial,
     is_cyclically_claw_free,
     q_at_minus_one,
+    random_graph,
     subgraph_component_polynomial,
     whitney_edge_counts,
 )
@@ -36,6 +39,20 @@ class TestGraphBasics:
         assert k3.spanning_component_count([]) == 3
         assert k3.spanning_component_count([0]) == 2
         assert k3.spanning_component_count([0, 1, 2]) == 1
+
+    def test_induced_stats_match_networkx(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.4, 0.7)))
+            nxg = nx.Graph()
+            nxg.add_nodes_from(g.vertices)
+            nxg.add_edges_from(g.edges)
+            subsets = [(), tuple(g.vertices)]
+            subsets += [rng.sample(g.vertices, rng.randint(0, len(g.vertices))) for _ in range(10)]
+            for subset in subsets:
+                induced = nxg.subgraph(subset)
+                assert g.induced_component_count(subset) == nx.number_connected_components(induced)
+                assert g.induced_edge_count(subset) == induced.number_of_edges()
 
     def test_closed_neighborhood(self):
         p3 = Graph.path(3)
@@ -244,6 +261,18 @@ class TestDomination:
             assert domination_polynomial(g, "alternating") == direct, name
             if all(g.degree(v) > 0 for v in g.vertices):
                 assert domination_polynomial(g, "pruned") == direct, name
+
+    def test_three_methods_agree_on_random_graphs(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 25:
+            g = random_graph(rng, rng.randint(2, 11), rng.choice((0.25, 0.5, 0.8)))
+            if any(g.degree(v) == 0 for v in g.vertices):
+                continue
+            checked += 1
+            direct = domination_polynomial(g, "direct")
+            assert domination_polynomial(g, "alternating") == direct
+            assert domination_polynomial(g, "pruned") == direct
 
     def test_broken_neighbourhoods_p3(self):
         # vertex 2 is the maximum of N[1] = {0,1,2}? no: N[2] = {1,2}, and

@@ -172,6 +172,21 @@ class TestRankInvariance:
             counts = broken_circuit_counts(m)
             assert all(b == 0 for b in counts[m.full_rank + 1 :])
 
+    def test_dependent_leaf_is_caught(self, monkeypatch):
+        # a walk that hands back a circuit must trip the per-leaf check
+        import brokencircuits.matroids as mod
+
+        m = Matroid.graphic(Graph.complete(4))
+        circuit = m._circuit_masks[0]
+
+        def rogue_walk(ground, broken):
+            yield 0
+            yield circuit
+
+        monkeypatch.setattr(mod, "iter_avoiding_masks", rogue_walk)
+        with pytest.raises(RuntimeError, match="dependent"):
+            broken_circuit_counts(m)
+
     def test_large_ground_set_flagged_unvalidated(self):
         m = Matroid.uniform(2, 13)
         assert not m.validated
