@@ -95,15 +95,16 @@ def _cmd_compute(args):
     elif kind == "matroid-characteristic":
         m = io.parse_matroid(io.load_instance(args.file))
         method = args.method or "broken_circuit"
-        poly = matroids.characteristic_polynomial(m, method)
-        out = {
-            "kind": kind,
-            "method": method,
-            "polynomial": poly.to_json(),
-            "validated": m.validated,
-        }
+        out = {"kind": kind, "method": method}
         if method == "broken_circuit":
-            out["counts"] = list(matroids.broken_circuit_counts(m))
+            matroids._check_sum_cap(m, "characteristic polynomial")
+            counts = matroids.broken_circuit_counts(m)
+            out["counts"] = list(counts)
+            poly = matroids._characteristic_from_counts(m, counts)
+        else:
+            poly = matroids.characteristic_polynomial(m, method)
+        out["polynomial"] = poly.to_json()
+        out["validated"] = m.validated
         _emit(args, out)
     elif kind == "matroid-beta":
         m = io.parse_matroid(io.load_instance(args.file))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from .errors import CapExceeded, PreconditionError, SchemaError
 
@@ -280,6 +281,61 @@ def iter_avoiding_masks(ground, broken):
             pos += 1
         for s in suffix:
             yield acc | s
+
+
+def _signed_fold(n, start, include, key):
+    """Signed histogram {key(s_A): sum of (-1)^|A|} over all 2^n subsets A.
+
+    The state of the empty set is ``start``; including position i in a
+    subset whose positions all lie below i maps its state s to
+    ``include(i, s)``.  The subsets are visited in the order of
+    iter_avoiding_masks with no broken sets, on an explicit stack of at
+    most n pending states, and include runs once per nonempty subset.
+    Callers build their polynomial or number once from the histogram, so
+    f(A) is never evaluated per subset.
+    """
+    if n == 0:
+        return {key(start): 1}
+    hist = {}
+    get = hist.get
+    last = n - 1
+    stack = [(0, start, 1)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        pos, state, sign = pop()
+        while pos < last:
+            push((pos + 1, include(pos, state), -sign))
+            pos += 1
+        # both leaves below the last position, without a push
+        k = key(state)
+        hist[k] = get(k, 0) + sign
+        k = key(include(last, state))
+        hist[k] = get(k, 0) - sign
+    return hist
+
+
+def _component_histogram(n_vertices, edges):
+    """Signed histogram {c(V, A): sum of (-1)^|A|} over the edge subsets A.
+
+    ``edges`` lists each edge as a tuple of vertex indices.  The state is
+    the component count plus a string holding each vertex's root as one
+    character, so merging two components is one ``str.replace``.
+    """
+
+    def include(pos, state):
+        count, roots = state
+        vs = edges[pos]
+        first = roots[vs[0]]
+        for v in vs:
+            r = roots[v]
+            if r != first:
+                roots = roots.replace(r, first)
+                count -= 1
+        return count, roots
+
+    start = (n_vertices, "".join(map(chr, range(n_vertices))))
+    return _signed_fold(len(edges), start, include, itemgetter(0))
 
 
 def avoiding_subsets(ground, broken):

@@ -17,7 +17,15 @@ from __future__ import annotations
 from math import comb
 
 from .algebra import BiPolynomial, IntPolynomial
-from .core import CircuitFamily, OrderedGroundSet, derive_broken_circuits, enumerate_avoiding, iter_avoiding_masks
+from .core import (
+    CircuitFamily,
+    OrderedGroundSet,
+    _component_histogram,
+    _signed_fold,
+    derive_broken_circuits,
+    enumerate_avoiding,
+    iter_avoiding_masks,
+)
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 CYCLE_CAP = 20
@@ -117,28 +125,6 @@ class Graph:
                 count -= 1
         return count
 
-    def _spanning_components_of_mask(self, edge_mask):
-        parent = list(range(len(self.vertices)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        count = len(self.vertices)
-        i = 0
-        while edge_mask:
-            if edge_mask & 1:
-                a, b = self._edge_ends[i]
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    count -= 1
-            edge_mask >>= 1
-            i += 1
-        return count
-
     def _closed_mask(self, vertex_mask):
         """N[A] as a vertex bitmask, for A given as a vertex bitmask."""
         nmask = self._nmask
@@ -173,6 +159,29 @@ class Graph:
                 rest ^= new
                 frontier |= new
         return count, (closed_degrees - vertex_mask.bit_count()) // 2
+
+    def _induced_fold(self, key):
+        """Signed histogram {key(components of G[A]): sum of (-1)^|A|} over vertex subsets A.
+
+        The state is the tuple of component vertex masks; including vertex
+        i merges i with every component that meets N[i].
+        """
+        nmask = self._nmask
+
+        def include(i, comps):
+            bit = 1 << i
+            nb = nmask[bit]
+            merged = bit
+            keep = []
+            for c in comps:
+                if c & nb:
+                    merged |= c
+                else:
+                    keep.append(c)
+            keep.append(merged)
+            return tuple(keep)
+
+        return _signed_fold(len(self.vertices), (), include, key)
 
     def induced_component_count(self, vertices):
         mask = 0
@@ -271,9 +280,8 @@ def chromatic_polynomial(graph, method="broken_circuit", cycle_cap=CYCLE_CAP):
     """
     if method == "full":
         coeffs = [0] * (len(graph.vertices) + 1)
-        for mask in range(1 << len(graph.edges)):
-            c = graph._spanning_components_of_mask(mask)
-            coeffs[c] += -1 if mask.bit_count() & 1 else 1
+        for c, count in _component_histogram(len(graph.vertices), graph._edge_ends).items():
+            coeffs[c] = count
         return IntPolynomial(coeffs)
     if method == "broken_circuit":
         return _chromatic_from_counts(graph, whitney_edge_counts(graph, cycle_cap))
@@ -299,12 +307,9 @@ def subgraph_component_polynomial(graph):
     n = len(graph.vertices)
     if n > 20:
         raise CapExceeded("subgraph component polynomial needs |V| <= 20")
-    terms = {}
-    for mask in range(1 << n):
-        c = graph._induced_stats_of_mask(mask)[0]
-        key = (mask.bit_count(), c)
-        terms[key] = terms.get(key, 0) + 1
-    return BiPolynomial(terms)
+    hist = graph._induced_fold(lambda comps: (sum(c.bit_count() for c in comps), len(comps)))
+    # every subset under one key has the same size, so its count is |signed count|
+    return BiPolynomial({key: abs(count) for key, count in hist.items()})
 
 
 def vertex_broken_circuits(graph, cap=CYCLE_CAP):
@@ -327,12 +332,11 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
         raise PreconditionError("graph is not cyclically claw-free")
     n = len(graph.vertices)
     coeffs = [0] * (n + 1)
-    stats = graph._induced_stats_of_mask
     if method == "direct":
-        for mask in range(1 << n):
-            c = stats(mask)[0]
-            coeffs[c] += -1 if mask.bit_count() & 1 else 1
+        for c, count in graph._induced_fold(len).items():
+            coeffs[c] = count
         return IntPolynomial(coeffs)
+    stats = graph._induced_stats_of_mask
     ground = OrderedGroundSet(graph.vertices)
     broken = vertex_broken_circuits(graph, cap)
     if method == "restricted":
@@ -373,17 +377,25 @@ def domination_polynomial(graph, method="direct", broken=None):
     n = len(graph.vertices)
     if n > 20:
         raise CapExceeded("domination polynomial needs |V| <= 20")
-    full = (1 << n) - 1
-    closed = graph._closed_mask
+    nbs = [graph._nmask[1 << i] for i in range(n)]
     if method == "direct":
+        # the state is N[A] with |A| counted in the bits above the n vertex bits
+        full = (1 << n) - 1
+        step = 1 << n
+        hist = _signed_fold(
+            n, 0, lambda i, s: (s | nbs[i]) + step,
+            lambda s: s >> n if s & full == full else -1,
+        )
         coeffs = [0] * (n + 1)
-        for mask in range(1 << n):
-            if closed(mask) == full:
-                coeffs[mask.bit_count()] += 1
+        for k, count in hist.items():
+            if k >= 0:
+                coeffs[k] = abs(count)
         return IntPolynomial(coeffs)
-
+    # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j
+    by_j = [0] * (n + 1)
     if method == "alternating":
-        masks = range(1 << n)
+        for size, count in _signed_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count).items():
+            by_j[n - size] = count
     elif method == "pruned":
         for i in range(n):
             if not graph._adj[i]:
@@ -401,17 +413,15 @@ def domination_polynomial(graph, method="direct", broken=None):
                     raise PreconditionError(
                         f"{sorted(map(repr, b))} is not a broken neighbourhood of the graph"
                     )
-        masks = iter_avoiding_masks(OrderedGroundSet(graph.vertices), broken)
+        closed = graph._closed_mask
+        for mask in iter_avoiding_masks(OrderedGroundSet(graph.vertices), broken):
+            j = n - closed(mask).bit_count()
+            if mask.bit_count() & 1:
+                by_j[j] -= 1
+            else:
+                by_j[j] += 1
     else:
         raise SchemaError(f"unknown method {method!r}")
-    # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j
-    by_j = [0] * (n + 1)
-    for mask in masks:
-        j = n - closed(mask).bit_count()
-        if mask.bit_count() & 1:
-            by_j[j] -= 1
-        else:
-            by_j[j] += 1
     coeffs = [0] * (n + 1)
     for j, count in enumerate(by_j):
         if count:

@@ -14,7 +14,13 @@ from __future__ import annotations
 import itertools
 
 from .algebra import IntPolynomial
-from .core import CircuitFamily, OrderedGroundSet, derive_broken_circuits, iter_avoiding_masks
+from .core import (
+    CircuitFamily,
+    OrderedGroundSet,
+    _component_histogram,
+    derive_broken_circuits,
+    iter_avoiding_masks,
+)
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 GRID_CAP = 16
@@ -164,12 +170,10 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
     which must pass the self-covering or the pair-upset condition.
     """
     n = len(hypergraph.vertices)
-    m = len(hypergraph.edges)
     coeffs = [0] * (n + 1)
     if method == "full":
-        for mask in range(1 << m):
-            c = hypergraph._components_of_mask(mask)
-            coeffs[c] += -1 if mask.bit_count() & 1 else 1
+        for c, count in _component_histogram(n, hypergraph._edge_vidx).items():
+            coeffs[c] = count
         return IntPolynomial(coeffs)
     if method != "restricted":
         raise SchemaError(f"unknown method {method!r}")

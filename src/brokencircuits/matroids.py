@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 
 from .algebra import IntPolynomial
-from .core import CircuitFamily, OrderedGroundSet, derive_broken_circuits, iter_avoiding_masks
+from .core import CircuitFamily, OrderedGroundSet, _signed_fold, derive_broken_circuits, iter_avoiding_masks
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 AXIOM_CAP = 12
+# the rank sums and their broken-circuit forms are offered up to this size
+SUM_CAP = 20
 
 
 class Matroid:
@@ -47,6 +49,10 @@ class Matroid:
                 circs.append(cs)
         self.circuits = tuple(circs)
         self._circuit_masks = [self._mask(c) for c in self.circuits]
+        # circuit masks by their largest position
+        self._circuits_by_max = [[] for _ in elements]
+        for cm in self._circuit_masks:
+            self._circuits_by_max[cm.bit_length() - 1].append(cm)
         for a, b in itertools.combinations(self.circuits, 2):
             if a <= b or b <= a:
                 raise PreconditionError(
@@ -93,18 +99,30 @@ class Matroid:
                 return False
         return True
 
+    def _greedy_step(self, i, acc):
+        """Add position i to a greedy basis acc of positions below i, if it stays independent.
+
+        acc is independent, so a circuit inside acc + i contains i, and has
+        i as its maximum: only those circuits are tested.
+        """
+        t = acc | (1 << i)
+        for cm in self._circuits_by_max[i]:
+            if cm & t == cm:
+                return acc
+        return t
+
     def _rank_mask(self, mask):
         acc = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                t = acc | (1 << i)
-                if self._is_independent_mask(t):
-                    acc = t
-            m >>= 1
-            i += 1
+        step = self._greedy_step
+        while mask:
+            low = mask & -mask
+            acc = step(low.bit_length() - 1, acc)
+            mask ^= low
         return acc.bit_count()
+
+    def _signed_rank_histogram(self):
+        """{r(A): sum of (-1)^|A|} over all subsets A, folding the greedy basis."""
+        return _signed_fold(len(self.elements), 0, self._greedy_step, int.bit_count)
 
     def rank(self, subset):
         """Size of a maximal circuit-free subset, built greedily in ground order."""
@@ -153,27 +171,35 @@ def broken_circuit_counts(matroid):
     return tuple(counts)
 
 
+def _check_sum_cap(matroid, what):
+    if len(matroid.elements) > SUM_CAP:
+        raise CapExceeded(f"{what} needs |E| <= {SUM_CAP}")
+
+
 def characteristic_polynomial(matroid, method="broken_circuit"):
     """chi(M, x) = sum over subsets A of (-1)^|A| x^{r(E) - r(A)}."""
-    n = len(matroid.elements)
-    if n > 20:
-        raise CapExceeded("characteristic polynomial needs |E| <= 20")
-    re = matroid.full_rank
-    coeffs = [0] * (re + 1)
+    _check_sum_cap(matroid, "characteristic polynomial")
     if method == "full":
-        for mask in range(1 << n):
-            power = re - matroid._rank_mask(mask)
-            coeffs[power] += -1 if mask.bit_count() & 1 else 1
+        re = matroid.full_rank
+        coeffs = [0] * (re + 1)
+        for r, count in matroid._signed_rank_histogram().items():
+            coeffs[re - r] = count
         return IntPolynomial(coeffs)
     if method == "broken_circuit":
-        counts = broken_circuit_counts(matroid)
-        for k, b in enumerate(counts):
-            if b and k > re:
-                raise RuntimeError("independent subset larger than the rank")
-            if k <= re:
-                coeffs[re - k] = -b if k & 1 else b
-        return IntPolynomial(coeffs)
+        return _characteristic_from_counts(matroid, broken_circuit_counts(matroid))
     raise SchemaError(f"unknown method {method!r}")
+
+
+def _characteristic_from_counts(matroid, counts):
+    """chi(M, x) from the counts b_k: the coefficient of x^{r(E)-k} is (-1)^k b_k."""
+    re = matroid.full_rank
+    coeffs = [0] * (re + 1)
+    for k, b in enumerate(counts):
+        if b and k > re:
+            raise RuntimeError("independent subset larger than the rank")
+        if k <= re:
+            coeffs[re - k] = -b if k & 1 else b
+    return IntPolynomial(coeffs)
 
 
 def beta_invariant(matroid, method="full"):
@@ -182,17 +208,11 @@ def beta_invariant(matroid, method="full"):
     full: (-1)^{r(E)} sum (-1)^|A| r(A); broken_circuit: the same with
     k b_k counts; derivative: from the slope of chi at 1.
     """
-    n = len(matroid.elements)
-    if n > 20:
-        raise CapExceeded("beta invariant needs |E| <= 20")
+    _check_sum_cap(matroid, "beta invariant")
     re = matroid.full_rank
     sign = -1 if re & 1 else 1
     if method == "full":
-        acc = 0
-        for mask in range(1 << n):
-            r = matroid._rank_mask(mask)
-            acc += -r if mask.bit_count() & 1 else r
-        return sign * acc
+        return sign * sum(r * count for r, count in matroid._signed_rank_histogram().items())
     if method == "broken_circuit":
         counts = broken_circuit_counts(matroid)
         acc = 0

@@ -14,6 +14,7 @@ import math
 import threading
 from fractions import Fraction
 
+from .core import _signed_fold
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 FACTOR_CAP = 10**6
@@ -131,42 +132,27 @@ class DivisorLattice:
         return tuple(sorted(self.n // p for p in self.prime_factors))
 
 
+def _gcd_histogram(domain):
+    """{gcd(A): sum of (-1)^|A|} over the subsets A of the domain; gcd of the empty set is 0."""
+    return _signed_fold(len(domain), 0, lambda i, g: math.gcd(g, domain[i]), lambda g: g)
+
+
+def _lcm_histogram(domain):
+    """{lcm(A): sum of (-1)^|A|} over the subsets A of the domain; lcm of the empty set is 1."""
+    return _signed_fold(len(domain), 1, lambda i, l: math.lcm(l, domain[i]), lambda l: l)
+
+
 def _signed_gcd_sum(domain):
     """sum over subsets A of the domain of (-1)^|A| [gcd(A) == 1].
 
     gcd of the empty set is 0, so the empty subset never counts.
     """
-    total = 0
-
-    def walk(idx, size, g):
-        nonlocal total
-        if idx == len(domain):
-            if g == 1:
-                total += -1 if size & 1 else 1
-            return
-        walk(idx + 1, size, g)
-        walk(idx + 1, size + 1, math.gcd(g, domain[idx]))
-
-    walk(0, 0, 0)
-    return total
+    return _gcd_histogram(domain).get(1, 0)
 
 
 def _signed_lcm_sum(domain, n):
     """sum over subsets A of the domain of (-1)^|A| [lcm(A) == n]."""
-    total = 0
-
-    def walk(idx, size, l):
-        nonlocal total
-        if idx == len(domain):
-            if l == n:
-                total += -1 if size & 1 else 1
-            return
-        walk(idx + 1, size, l)
-        d = domain[idx]
-        walk(idx + 1, size + 1, l * d // math.gcd(l, d))
-
-    walk(0, 0, 1)
-    return total
+    return _lcm_histogram(domain).get(n, 0)
 
 
 def gcd_expansion(n, variant="gcd", modified_domain=False):
@@ -300,19 +286,11 @@ def totient_subset_sum(n, h=None, modified_domain=False, restrict=False):
     domain = [d for d in divs if d != n] if modified_domain else [
         d for d in divs if d not in (1, n)
     ]
-    hcache = {d: h(d) for d in divs}
     total = Fraction(0)
-
-    def walk(idx, size, g):
-        nonlocal total
-        if idx == len(domain):
-            if size and (not restrict or g > 1):
-                total += hcache[g] if size & 1 else -hcache[g]
-            return
-        walk(idx + 1, size, g)
-        walk(idx + 1, size + 1, math.gcd(g, domain[idx]))
-
-    walk(0, 0, 0)
+    for g, count in _gcd_histogram(domain).items():
+        # g == 0 only for the empty subset; a subset A adds -(-1)^|A| h(gcd A)
+        if g and (not restrict or g > 1):
+            total -= count * h(g)
     return total
 
 
@@ -391,20 +369,10 @@ def inverse_subset_sum(n, h=None, modified_domain=False, restrict=False):
     domain = [d for d in divs if d != 1] if modified_domain else [
         d for d in divs if d not in (1, n)
     ]
-    hcache = {d: h(d) for d in divs}
     total = Fraction(0)
-
-    def walk(idx, size, l):
-        nonlocal total
-        if idx == len(domain):
-            if not restrict or l < n:
-                total += -hcache[l] if size & 1 else hcache[l]
-            return
-        walk(idx + 1, size, l)
-        d = domain[idx]
-        walk(idx + 1, size + 1, l * d // math.gcd(l, d))
-
-    walk(0, 0, 1)
+    for l, count in _lcm_histogram(domain).items():
+        if not restrict or l < n:
+            total += count * h(l)
     return total
 
 
@@ -493,28 +461,23 @@ def divisor_complex(n, kind="gcd"):
     lat = DivisorLattice(n)
     if len(lat.divisors) > SUBSET_CAP:
         raise CapExceeded(f"complex construction needs d(n) <= {SUBSET_CAP}")
-    middle = list(lat.middle())
+    middle = lat.middle()
+    if kind == "gcd":
+        step, start, is_face = math.gcd, 0, (lambda g: g > 1)
+    else:
+        step, start, is_face = math.lcm, 1, (lambda l: l < n)
     faces = []
-
-    def walk(idx, chosen, state):
+    # (next index, chosen divisors, their gcd or lcm); every extension of a
+    # non-face is a non-face, so only faces are pushed
+    stack = [(0, (), start)]
+    while stack:
+        idx, chosen, state = stack.pop()
         if chosen:
             faces.append(frozenset(chosen))
         for j in range(idx, len(middle)):
-            d = middle[j]
-            if kind == "gcd":
-                new = math.gcd(state, d) if chosen else d
-                if new > 1:
-                    chosen.append(d)
-                    walk(j + 1, chosen, new)
-                    chosen.pop()
-            else:
-                new = state * d // math.gcd(state, d)
-                if new < n:
-                    chosen.append(d)
-                    walk(j + 1, chosen, new)
-                    chosen.pop()
-
-    walk(0, [], 0 if kind == "gcd" else 1)
+            new = step(state, middle[j])
+            if is_face(new):
+                stack.append((j + 1, chosen + (middle[j],), new))
     return AbstractComplex(faces)
 
 

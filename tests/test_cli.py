@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from brokencircuits import cli, core, graphs, io, verify
+from brokencircuits import cli, core, graphs, io, matroids, verify
 from brokencircuits.errors import SchemaError
 from brokencircuits.core import OrderedGroundSet, SetFunction, sum_full, sum_pruned
 
@@ -45,6 +45,23 @@ class TestCompute:
         assert capsys.readouterr().out == (
             '{"counts":[1,3,2,0],"kind":"graph-chromatic","method":"broken_circuit",'
             '"polynomial":{"coeffs":["0","2","-3","1"],"var":"x"}}\n'
+        )
+        assert len(walks) == 1
+
+    def test_matroid_characteristic_walks_once(self, tmp_path, capsys, monkeypatch):
+        walks = []
+        walk = matroids.iter_avoiding_masks
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(matroids, "iter_avoiding_masks", counted)
+        path = write(tmp_path, "u24.json", {"kind": "matroid", "uniform": [2, 4]})
+        assert cli.main(["compute", "matroid-characteristic", path]) == 0
+        assert capsys.readouterr().out == (
+            '{"counts":[1,4,3,0,0],"kind":"matroid-characteristic","method":"broken_circuit",'
+            '"polynomial":{"coeffs":["3","-4","1"],"var":"x"},"validated":true}\n'
         )
         assert len(walks) == 1
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -285,6 +286,78 @@ def test_avoiding_masks_is_a_lazy_generator():
     assert inspect.isgeneratorfunction(iter_avoiding_masks)
     walk = iter_avoiding_masks(OrderedGroundSet(range(20)), [frozenset({3, 19})])
     assert [next(walk) for _ in range(4)] == [0, 1 << 19, 1 << 18, 3 << 18]
+
+
+def _brute_fold(n, state_of_mask):
+    """The signed histogram computed per mask, from the subset's own state."""
+    hist = {}
+    for mask in range(1 << n):
+        key = state_of_mask(mask)
+        hist[key] = hist.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
+    return hist
+
+
+def _brute_components(n_vertices, edges, mask):
+    parent = list(range(n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, edge in enumerate(edges):
+        if mask >> i & 1:
+            for v in edge[1:]:
+                a, b = find(edge[0]), find(v)
+                if a != b:
+                    parent[a] = b
+    return sum(1 for v in range(n_vertices) if find(v) == v)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_signed_fold_visits_every_subset_once(n):
+    from brokencircuits.core import _signed_fold
+
+    calls = []
+
+    def include(i, mask):
+        # every position already in the state lies below i
+        assert mask >> i == 0
+        calls.append(i)
+        return mask | 1 << i
+
+    hist = _signed_fold(n, 0, include, lambda mask: mask)
+    assert hist == {mask: -1 if mask.bit_count() & 1 else 1 for mask in range(1 << n)}
+    assert len(calls) == (1 << n) - 1
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_signed_fold_matches_per_mask_states(n):
+    from brokencircuits.core import _component_histogram, _signed_fold
+
+    rng = random.Random(1000 + n)
+    ors = [rng.getrandbits(6) for _ in range(n)]
+    ints = [rng.choice([2, 3, 4, 6, 9, 10, 12, 15, 30, 36]) for _ in range(n)]
+
+    def over(values, op, start, mask):
+        acc = start
+        for i in range(n):
+            if mask >> i & 1:
+                acc = op(acc, values[i])
+        return acc
+
+    got = _signed_fold(n, 0, lambda i, s: s | ors[i], lambda s: s)
+    assert got == _brute_fold(n, lambda m: over(ors, int.__or__, 0, m))
+    got = _signed_fold(n, 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g)
+    assert got == _brute_fold(n, lambda m: over(ints, math.gcd, 0, m))
+    # union-find states: edges of up to three vertices, loops included,
+    # isolated vertices whenever the edges miss one
+    n_vertices = rng.randint(1, 8)
+    edges = [
+        tuple(rng.randrange(n_vertices) for _ in range(rng.randint(1, 3))) for _ in range(n)
+    ]
+    got = _component_histogram(n_vertices, edges)
+    assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m))
 
 
 def _all_subfamilies(broken):

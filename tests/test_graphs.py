@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import networkx as nx
 import pytest
@@ -279,6 +280,59 @@ class TestDomination:
         # 2 = max N[2], giving broken neighbourhood {1}
         out = broken_neighbourhoods(Graph.path(3))
         assert frozenset({1}) in out
+
+
+class TestFoldedFullRoutes:
+    """The full routes fold an incremental state; the references here
+    evaluate each subset on its own."""
+
+    @staticmethod
+    def small_graphs(seed):
+        rng = random.Random(seed)
+        out = [Graph([], []), Graph([0], []), Graph(range(4), []), Graph(range(5), [(0, 1), (3, 4)])]
+        while len(out) < 30:
+            g = random_graph(rng, rng.randint(1, 8), rng.choice((0.15, 0.4, 0.7)))
+            if len(g.edges) <= 12:
+                out.append(g)
+        return out
+
+    def test_chromatic_matches_spanning_component_counts(self):
+        for g in self.small_graphs(41):
+            m = len(g.edges)
+            coeffs = [0] * (len(g.vertices) + 1)
+            for mask in range(1 << m):
+                ids = [i for i in range(m) if mask >> i & 1]
+                coeffs[g.spanning_component_count(ids)] += (-1) ** len(ids)
+            assert chromatic_polynomial(g, "full") == IntPolynomial(coeffs), g.edges
+
+    def test_induced_component_sums_match_per_subset_counts(self):
+        for g in self.small_graphs(42):
+            n = len(g.vertices)
+            q = [0] * (n + 1)
+            terms = {}
+            for r in range(n + 1):
+                for subset in itertools.combinations(g.vertices, r):
+                    c = g.induced_component_count(subset)
+                    q[c] += (-1) ** r
+                    terms[(r, c)] = terms.get((r, c), 0) + 1
+            assert subgraph_component_polynomial(g) == BiPolynomial(terms), g.edges
+            if is_cyclically_claw_free(g):
+                assert q_at_minus_one(g, "direct") == IntPolynomial(q), g.edges
+
+    def test_domination_matches_closed_neighbourhoods(self):
+        for g in self.small_graphs(43):
+            n = len(g.vertices)
+            direct = [0] * (n + 1)
+            alternating = [0] * (n + 1)
+            for r in range(n + 1):
+                for subset in itertools.combinations(g.vertices, r):
+                    j = n - len(g.closed_neighborhood(subset))
+                    if j == 0:
+                        direct[r] += 1
+                    for i in range(j + 1):
+                        alternating[i] += (-1) ** r * comb(j, i)
+            assert domination_polynomial(g, "direct") == IntPolynomial(direct), g.edges
+            assert domination_polynomial(g, "alternating") == IntPolynomial(alternating), g.edges
 
 
 class TestDegree1Upset:

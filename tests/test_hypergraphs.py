@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -254,3 +255,19 @@ class TestGrid:
         for circuit in fam:
             ids = sorted(circuit)
             assert areas[ids[2]] >= max(areas[ids[0]], areas[ids[1]])
+
+
+def test_full_route_matches_per_subset_components():
+    # random hypergraphs with isolated vertices, 2-edges and zero edges
+    rng = random.Random(61)
+    hypergraphs = [Hypergraph(range(3), []), Hypergraph([0, 1], [{0, 1}])]
+    while len(hypergraphs) < 25:
+        n = rng.randint(2, 8)
+        edges = {frozenset(rng.sample(range(n), rng.randint(2, min(4, n)))) for _ in range(rng.randint(0, 9))}
+        hypergraphs.append(Hypergraph(range(n + rng.randint(0, 2)), edges))
+    for hg in hypergraphs:
+        m = len(hg.edges)
+        coeffs = [0] * (len(hg.vertices) + 1)
+        for mask in range(1 << m):
+            coeffs[hg._components_of_mask(mask)] += -1 if mask.bit_count() & 1 else 1
+        assert hypergraph_chromatic(hg, "full") == IntPolynomial(coeffs), hg.edges

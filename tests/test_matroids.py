@@ -5,7 +5,7 @@ import pytest
 
 from brokencircuits.algebra import IntPolynomial
 from brokencircuits.errors import PreconditionError
-from brokencircuits.graphs import Graph
+from brokencircuits.graphs import Graph, random_graph
 from brokencircuits.matroids import (
     Matroid,
     beta_invariant,
@@ -191,3 +191,45 @@ class TestRankInvariance:
         m = Matroid.uniform(2, 13)
         assert not m.validated
         assert Matroid.uniform(2, 5).validated
+
+
+def _brute_rank(matroid, mask):
+    """Largest independent submask, by trying every submask."""
+    best = 0
+    sub = mask
+    while True:
+        if matroid._is_independent_mask(sub):
+            best = max(best, sub.bit_count())
+        if sub == 0:
+            return best
+        sub = (sub - 1) & mask
+
+
+def test_folded_rank_sums_match_per_subset_ranks():
+    rng = random.Random(71)
+    corpus = [
+        Matroid([], []),
+        Matroid([0, 1, 2], [frozenset({0})]),
+        Matroid([0, 1, 2, 3], [frozenset({1}), frozenset({0, 2}), frozenset({0, 3}), frozenset({2, 3})]),
+        Matroid.uniform(0, 4),
+        Matroid.uniform(2, 5),
+        Matroid.uniform(3, 7),
+        Matroid.uniform(6, 6),
+    ]
+    while len(corpus) < 20:
+        g = random_graph(rng, rng.randint(4, 7), rng.choice((0.5, 0.8)))
+        if 4 <= len(g.edges) <= 11:
+            corpus.append(Matroid.graphic(g))
+    for m in corpus:
+        n = len(m.elements)
+        re = _brute_rank(m, (1 << n) - 1)
+        chi = [0] * (re + 1)
+        beta = 0
+        for mask in range(1 << n):
+            r = _brute_rank(m, mask)
+            assert m._rank_mask(mask) == r
+            sign = -1 if mask.bit_count() & 1 else 1
+            chi[re - r] += sign
+            beta += sign * r
+        assert characteristic_polynomial(m, "full") == IntPolynomial(chi), m
+        assert beta_invariant(m, "full") == (-1) ** re * beta, m

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,9 +18,11 @@ from brokencircuits.numbers import (
     dirichlet_inverse_totient,
     divisor_complex,
     divisors,
+    gcd_all,
     gcd_expansion,
     inverse_subset_sum,
     is_squarefree,
+    lcm_all,
     primes_upto,
     primorial,
     totient,
@@ -281,3 +285,71 @@ class TestInfrastructure:
     def test_factor_cap(self):
         with pytest.raises(CapExceeded):
             divisors(10**7)
+
+
+def _subsets(domain):
+    return itertools.chain.from_iterable(
+        itertools.combinations(domain, r) for r in range(len(domain) + 1)
+    )
+
+
+def _totient_subset_reference(n, h, modified_domain, restrict):
+    domain = [d for d in divisors(n) if d != n and (modified_domain or d != 1)]
+    total = Fraction(0)
+    for a in _subsets(domain):
+        g = gcd_all(a)
+        if a and (not restrict or g > 1):
+            total += h(g) if len(a) & 1 else -h(g)
+    return total
+
+
+def _inverse_subset_reference(n, h, modified_domain, restrict):
+    domain = [d for d in divisors(n) if d != 1 and (modified_domain or d != n)]
+    total = Fraction(0)
+    for a in _subsets(domain):
+        l = lcm_all(a)
+        if not restrict or l < n:
+            total += -h(l) if len(a) & 1 else h(l)
+    return total
+
+
+TWO_POWERS = MultiplicativeFunction(
+    lambda n: Fraction(1) if n == 1 else Fraction(2) ** len(_prime_set(n)), "two-powers"
+)
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+@pytest.mark.parametrize("modified_domain", [False, True])
+def test_subset_sums_match_per_subset_definitions(modified_domain, restrict):
+    hs = (MultiplicativeFunction.identity(), MultiplicativeFunction.power(2))
+    for n in (1, 4, 6, 7, 12, 18, 30, 36, 60, 64, 105):
+        if len(_prime_set(n)) == 1 and n in _prime_set(n) and not modified_domain:
+            continue
+        for h in hs + ((TWO_POWERS,) if math.prod(_prime_set(n)) == n else ()):
+            if n > 1:
+                got = totient_subset_sum(n, h, modified_domain=modified_domain, restrict=restrict)
+                assert got == _totient_subset_reference(n, h, modified_domain, restrict), (n, h)
+            got = inverse_subset_sum(n, h, modified_domain=modified_domain, restrict=restrict)
+            assert got == _inverse_subset_reference(n, h, modified_domain, restrict), (n, h)
+
+
+def test_numbers_walks_leave_no_reference_cycles():
+    # with the cyclic collector off, a walk that leaves a cycle behind (a
+    # closure that refers to itself) keeps everything it reached alive
+    ident = MultiplicativeFunction.identity()
+    calls = {
+        "divisor_complex gcd": lambda: divisor_complex(180),
+        "divisor_complex lcm": lambda: divisor_complex(180, "lcm"),
+        "totient_subset_sum": lambda: totient_subset_sum(180, ident),
+        "inverse_subset_sum": lambda: inverse_subset_sum(180, ident),
+        "gcd_expansion gcd": lambda: gcd_expansion(180, "gcd"),
+        "gcd_expansion lcm": lambda: gcd_expansion(180, "lcm"),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
