@@ -222,15 +222,32 @@ def derive_broken_circuits(family, ground):
 
 
 def _broken_masks(ground, broken):
-    masks = []
-    seen = set()
-    for b in broken:
-        sub = b.subset if isinstance(b, BrokenCircuit) else frozenset(b)
-        m = ground.mask_of(sub)
-        if m not in seen:
-            seen.add(m)
-            masks.append(m)
-    return masks
+    """Bitmasks of broken sets given as frozensets or BrokenCircuit records."""
+    return [
+        ground.mask_of(b.subset if isinstance(b, BrokenCircuit) else b) for b in broken
+    ]
+
+
+def _prefixes_by_max(n, masks):
+    """Index broken masks by their maximum position.
+
+    Returns ``(by_max, end)``: ``by_max[i]`` holds, once each, the masks
+    whose maximum is position i with that position removed, and ``end`` is
+    one past the largest maximum (0 with no masks), so every subset of the
+    positions from ``end`` on is free.  ``by_max`` is None when a mask is
+    empty: the empty set lies in every subset, so none avoids it.
+    """
+    by_max = [() for _ in range(n)]
+    end = 0
+    for m in masks:
+        if m == 0:
+            return None, 0
+        top = m.bit_length() - 1
+        prefix = m ^ (1 << top)
+        if prefix not in by_max[top]:
+            by_max[top] += (prefix,)
+        end = max(end, top + 1)
+    return by_max, end
 
 
 def iter_avoiding_masks(ground, broken):
@@ -253,15 +270,10 @@ def iter_avoiding_masks(ground, broken):
     the same order.  No list of the surviving subsets is built.
     """
     n = len(ground)
-    masks = _broken_masks(ground, broken)
-    if any(m == 0 for m in masks):
+    by_max, cube = _prefixes_by_max(n, _broken_masks(ground, broken))
+    if by_max is None:
         return
-    by_max = [() for _ in range(n)]
-    cube = max(n - SUFFIX_CUBE_BITS, 0)
-    for m in masks:
-        top = m.bit_length() - 1
-        by_max[top] += (m ^ (1 << top),)
-        cube = max(cube, top + 1)
+    cube = max(cube, n - SUFFIX_CUBE_BITS)
     # every subset of positions cube..n-1, in walk order
     suffix = [0]
     for pos in range(n - 1, cube - 1, -1):
@@ -283,40 +295,66 @@ def iter_avoiding_masks(ground, broken):
             yield acc | s
 
 
-def _signed_fold(n, start, include, key):
-    """Signed histogram {key(s_A): sum of (-1)^|A|} over all 2^n subsets A.
+def _signed_fold(n, start, include, key, broken=()):
+    """Signed histogram {key(s_A): sum of (-1)^|A|} over the subsets A of
+    positions 0..n-1 that include none of the ``broken`` masks.
 
     The state of the empty set is ``start``; including position i in a
     subset whose positions all lie below i maps its state s to
     ``include(i, s)``.  The subsets are visited in the order of
-    iter_avoiding_masks with no broken sets, on an explicit stack of at
-    most n pending states, and include runs once per nonempty subset.
-    Callers build their polynomial or number once from the histogram, so
-    f(A) is never evaluated per subset.
+    iter_avoiding_masks and include runs once per nonempty avoiding subset,
+    so callers build their polynomial or number once from the histogram and
+    never evaluate f(A) per subset.
+
+    Positions below one past the largest maximum of a broken mask are
+    walked on an explicit stack that also carries the subset's mask, with
+    the by-maximum prefix test of iter_avoiding_masks.  From each surviving
+    prefix the remaining positions form a full cube, folded on a second
+    stack of at most n pending states, with both leaves of the last
+    position taken without a push.  With no broken masks the first walk is
+    a single entry and the cube is all 2^n subsets.  An empty broken mask
+    leaves no subset, and the histogram is empty.
     """
-    if n == 0:
-        return {key(start): 1}
+    by_max, end = _prefixes_by_max(n, broken)
+    if by_max is None:
+        return {}
     hist = {}
     get = hist.get
     last = n - 1
-    stack = [(0, start, 1)]
+    prefixes = [(0, 0, start, 1)]
+    stack = []
     pop = stack.pop
     push = stack.append
-    while stack:
-        pos, state, sign = pop()
-        while pos < last:
-            push((pos + 1, include(pos, state), -sign))
+    while prefixes:
+        pos, acc, state, sign = prefixes.pop()
+        while pos < end:
+            for prefix in by_max[pos]:
+                if acc & prefix == prefix:
+                    break
+            else:
+                prefixes.append((pos + 1, acc | (1 << pos), include(pos, state), -sign))
             pos += 1
-        # both leaves below the last position, without a push
-        k = key(state)
-        hist[k] = get(k, 0) + sign
-        k = key(include(last, state))
-        hist[k] = get(k, 0) - sign
+        if end > last:
+            k = key(state)
+            hist[k] = get(k, 0) + sign
+            continue
+        push((end, state, sign))
+        while stack:
+            pos, state, sign = pop()
+            while pos < last:
+                push((pos + 1, include(pos, state), -sign))
+                pos += 1
+            # both leaves below the last position, without a push
+            k = key(state)
+            hist[k] = get(k, 0) + sign
+            k = key(include(last, state))
+            hist[k] = get(k, 0) - sign
     return hist
 
 
-def _component_histogram(n_vertices, edges):
-    """Signed histogram {c(V, A): sum of (-1)^|A|} over the edge subsets A.
+def _component_histogram(n_vertices, edges, broken=()):
+    """Signed histogram {c(V, A): sum of (-1)^|A|} over the edge subsets A
+    that include none of the ``broken`` edge masks.
 
     ``edges`` lists each edge as a tuple of vertex indices.  The state is
     the component count plus a string holding each vertex's root as one
@@ -335,7 +373,7 @@ def _component_histogram(n_vertices, edges):
         return count, roots
 
     start = (n_vertices, "".join(map(chr, range(n_vertices))))
-    return _signed_fold(len(edges), start, include, itemgetter(0))
+    return _signed_fold(len(edges), start, include, itemgetter(0), broken)
 
 
 def avoiding_subsets(ground, broken):
@@ -558,17 +596,22 @@ class FinitePoset:
         """All chains (pairwise comparable subsets) as frozensets, empty set included."""
         ext = self.linear_extension()
         n = len(ext)
-
-        def walk(start, current):
-            yield frozenset(current)
-            for j in range(start, n):
+        # depth-first, one pending position iterator per chain element
+        current = []
+        pending = [iter(range(n))]
+        yield frozenset()
+        while pending:
+            for j in pending[-1]:
                 e = ext[j]
                 if all(self.le(c, e) for c in current):
                     current.append(e)
-                    yield from walk(j + 1, current)
+                    yield frozenset(current)
+                    pending.append(iter(range(j + 1, n)))
+                    break
+            else:
+                pending.pop()
+                if pending:
                     current.pop()
-
-        yield from walk(0, [])
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,17 @@ unrestricted form and a pruned form that agree exactly:
 from __future__ import annotations
 
 from math import comb
+from operator import itemgetter
 
 from .algebra import BiPolynomial, IntPolynomial
 from .core import (
     CircuitFamily,
     OrderedGroundSet,
+    _broken_masks,
     _component_histogram,
     _signed_fold,
     derive_broken_circuits,
     enumerate_avoiding,
-    iter_avoiding_masks,
 )
 from .errors import CapExceeded, PreconditionError, SchemaError
 
@@ -125,16 +126,6 @@ class Graph:
                 count -= 1
         return count
 
-    def _closed_mask(self, vertex_mask):
-        """N[A] as a vertex bitmask, for A given as a vertex bitmask."""
-        nmask = self._nmask
-        nb = 0
-        while vertex_mask:
-            low = vertex_mask & -vertex_mask
-            nb |= nmask[low]
-            vertex_mask ^= low
-        return nb
-
     def _induced_stats_of_mask(self, vertex_mask):
         """(components, edges) of the subgraph induced by a vertex bitmask.
 
@@ -160,8 +151,9 @@ class Graph:
                 frontier |= new
         return count, (closed_degrees - vertex_mask.bit_count()) // 2
 
-    def _induced_fold(self, key):
-        """Signed histogram {key(components of G[A]): sum of (-1)^|A|} over vertex subsets A.
+    def _induced_fold(self, key, broken=()):
+        """Signed histogram {key(components of G[A]): sum of (-1)^|A|} over
+        the vertex subsets A that include none of the ``broken`` vertex masks.
 
         The state is the tuple of component vertex masks; including vertex
         i merges i with every component that meets N[i].
@@ -181,7 +173,7 @@ class Graph:
             keep.append(merged)
             return tuple(keep)
 
-        return _signed_fold(len(self.vertices), (), include, key)
+        return _signed_fold(len(self.vertices), (), include, key, broken)
 
     def induced_component_count(self, vertices):
         mask = 0
@@ -209,22 +201,25 @@ def _vertex_cycles(graph, cap=CYCLE_CAP):
     n = len(graph.vertices)
     adj = [sorted(s) for s in graph._adj]
     cycles = []
-
-    def extend(path, visited):
-        u = path[-1]
-        s = path[0]
-        for w in adj[u]:
-            if w == s and len(path) >= 3 and path[1] < path[-1]:
-                cycles.append(tuple(path))
-            elif w > s and w not in visited:
-                visited.add(w)
-                path.append(w)
-                extend(path, visited)
-                path.pop()
-                visited.remove(w)
-
     for s in range(n):
-        extend([s], {s})
+        # depth-first over the simple paths from s through larger vertices,
+        # one pending neighbour iterator per path vertex
+        path = [s]
+        visited = {s}
+        pending = [iter(adj[s])]
+        while pending:
+            for w in pending[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        cycles.append(tuple(path))
+                elif w > s and w not in visited:
+                    visited.add(w)
+                    path.append(w)
+                    pending.append(iter(adj[w]))
+                    break
+            else:
+                pending.pop()
+                visited.discard(path.pop())
     return cycles
 
 
@@ -296,10 +291,13 @@ def is_cyclically_claw_free(graph, cap=CYCLE_CAP):
     deleting a cycle vertex from a superset of its cycle, which is what
     the pruned component sums rely on.
     """
-    on_cycle = set()
-    for cyc in _vertex_cycles(graph, cap):
-        on_cycle.update(cyc)
-    return all(len(graph._adj[i]) < 3 for i in on_cycle)
+    return _claw_free_on(graph, _vertex_cycles(graph, cap))
+
+
+def _claw_free_on(graph, cycles):
+    """True iff no vertex of the given simple cycles has degree 3 or more."""
+    adj = graph._adj
+    return all(len(adj[i]) < 3 for cyc in cycles for i in cyc)
 
 
 def subgraph_component_polynomial(graph):
@@ -314,11 +312,15 @@ def subgraph_component_polynomial(graph):
 
 def vertex_broken_circuits(graph, cap=CYCLE_CAP):
     """Vertex broken circuits: cycle vertex sets minus their largest vertex."""
-    cycles = cycles_vertex_sets(graph, cap)
     ground = OrderedGroundSet(graph.vertices)
+    return _vertex_broken_circuits(graph, ground, _vertex_cycles(graph, cap))
+
+
+def _vertex_broken_circuits(graph, ground, cycles):
     if not cycles:
         return []
-    return [bc.subset for bc in derive_broken_circuits(CircuitFamily(cycles), ground)]
+    family = CircuitFamily(frozenset(graph.vertices[i] for i in cyc) for cyc in cycles)
+    return [bc.subset for bc in derive_broken_circuits(family, ground)]
 
 
 def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
@@ -327,30 +329,35 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
     direct substitutes x = -1 into the defining sum; restricted prunes by
     the vertex broken circuits; acyclic additionally rewrites the exponent
     as |A| - m(G[A]), valid because the surviving subsets induce forests.
+    The simple cycles are listed once, for the precondition and the
+    broken circuits.
     """
-    if not is_cyclically_claw_free(graph, cap):
+    cycles = _vertex_cycles(graph, cap)
+    if not _claw_free_on(graph, cycles):
         raise PreconditionError("graph is not cyclically claw-free")
     n = len(graph.vertices)
-    coeffs = [0] * (n + 1)
     if method == "direct":
-        for c, count in graph._induced_fold(len).items():
-            coeffs[c] = count
-        return IntPolynomial(coeffs)
-    stats = graph._induced_stats_of_mask
-    ground = OrderedGroundSet(graph.vertices)
-    broken = vertex_broken_circuits(graph, cap)
-    if method == "restricted":
-        for mask in iter_avoiding_masks(ground, broken):
-            c = stats(mask)[0]
-            coeffs[c] += -1 if mask.bit_count() & 1 else 1
-        return IntPolynomial(coeffs)
-    if method == "acyclic":
-        for mask in iter_avoiding_masks(ground, broken):
-            size = mask.bit_count()
-            m = stats(mask)[1]
-            coeffs[size - m] += -1 if size & 1 else 1
-        return IntPolynomial(coeffs)
-    raise SchemaError(f"unknown method {method!r}")
+        hist = graph._induced_fold(len)
+    elif method in ("restricted", "acyclic"):
+        ground = OrderedGroundSet(graph.vertices)
+        broken = _broken_masks(ground, _vertex_broken_circuits(graph, ground, cycles))
+        if method == "restricted":
+            hist = graph._induced_fold(len, broken)
+        else:
+            # the state is (A, |A| - m(G[A])); including i adds 1 - |N(i) & A|
+            nbs = [graph._nmask[1 << i] ^ (1 << i) for i in range(n)]
+
+            def include(i, state):
+                a, exponent = state
+                return a | (1 << i), exponent + 1 - (nbs[i] & a).bit_count()
+
+            hist = _signed_fold(n, (0, 0), include, itemgetter(1), broken)
+    else:
+        raise SchemaError(f"unknown method {method!r}")
+    coeffs = [0] * (n + 1)
+    for c, count in hist.items():
+        coeffs[c] = count
+    return IntPolynomial(coeffs)
 
 
 def broken_neighbourhoods(graph):
@@ -391,11 +398,8 @@ def domination_polynomial(graph, method="direct", broken=None):
             if k >= 0:
                 coeffs[k] = abs(count)
         return IntPolynomial(coeffs)
-    # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j
-    by_j = [0] * (n + 1)
     if method == "alternating":
-        for size, count in _signed_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count).items():
-            by_j[n - size] = count
+        masks = ()
     elif method == "pruned":
         for i in range(n):
             if not graph._adj[i]:
@@ -413,15 +417,13 @@ def domination_polynomial(graph, method="direct", broken=None):
                     raise PreconditionError(
                         f"{sorted(map(repr, b))} is not a broken neighbourhood of the graph"
                     )
-        closed = graph._closed_mask
-        for mask in iter_avoiding_masks(OrderedGroundSet(graph.vertices), broken):
-            j = n - closed(mask).bit_count()
-            if mask.bit_count() & 1:
-                by_j[j] -= 1
-            else:
-                by_j[j] += 1
+        masks = _broken_masks(OrderedGroundSet(graph.vertices), broken)
     else:
         raise SchemaError(f"unknown method {method!r}")
+    # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j
+    by_j = [0] * (n + 1)
+    for size, count in _signed_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count, masks).items():
+        by_j[n - size] = count
     coeffs = [0] * (n + 1)
     for j, count in enumerate(by_j):
         if count:

@@ -17,9 +17,9 @@ from .algebra import IntPolynomial
 from .core import (
     CircuitFamily,
     OrderedGroundSet,
+    _broken_masks,
     _component_histogram,
     derive_broken_circuits,
-    iter_avoiding_masks,
 )
 from .errors import CapExceeded, PreconditionError, SchemaError
 
@@ -104,29 +104,22 @@ def is_berge_cycle_edge_set(hypergraph, edge_ids):
     if l < 2:
         return False
     sets = [hypergraph.edges[i] for i in ids]
-
-    def extend(seq_ids, used_vertices):
-        if len(seq_ids) == l:
-            closing = sets[seq_ids[-1]] & sets[seq_ids[0]]
-            return any(v not in used_vertices for v in closing)
-        last = sets[seq_ids[-1]]
+    # sequences of distinct edges from the first, each step through a fresh
+    # shared vertex, on an explicit stack of (edge sequence, vertices used)
+    stack = [((0,), ())]
+    while stack:
+        seq, used = stack.pop()
+        if len(seq) == l:
+            if any(v not in used for v in sets[seq[-1]] & sets[seq[0]]):
+                return True
+            continue
+        last = sets[seq[-1]]
         for nxt in range(1, l):
-            if nxt in seq_ids:
-                continue
-            for v in last & sets[nxt]:
-                if v in used_vertices:
-                    continue
-                used_vertices.add(v)
-                seq_ids.append(nxt)
-                if extend(seq_ids, used_vertices):
-                    seq_ids.pop()
-                    used_vertices.remove(v)
-                    return True
-                seq_ids.pop()
-                used_vertices.remove(v)
-        return False
-
-    return extend([0], set())
+            if nxt not in seq:
+                for v in last & sets[nxt]:
+                    if v not in used:
+                        stack.append((seq + (nxt,), used + (v,)))
+    return False
 
 
 def is_self_covering_family(circuits, hypergraph):
@@ -194,9 +187,9 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
         for b in chosen:
             if b not in derived_set:
                 raise PreconditionError(f"{sorted(b)} is not a broken circuit of the family")
-    for mask in iter_avoiding_masks(ground, chosen):
-        c = hypergraph._components_of_mask(mask)
-        coeffs[c] += -1 if mask.bit_count() & 1 else 1
+    hist = _component_histogram(n, hypergraph._edge_vidx, _broken_masks(ground, chosen))
+    for c, count in hist.items():
+        coeffs[c] = count
     return IntPolynomial(coeffs)
 
 

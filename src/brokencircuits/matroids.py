@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import IntPolynomial
-from .core import CircuitFamily, OrderedGroundSet, _signed_fold, derive_broken_circuits, iter_avoiding_masks
+from .core import CircuitFamily, OrderedGroundSet, _broken_masks, _signed_fold, derive_broken_circuits
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 AXIOM_CAP = 12
@@ -157,17 +157,27 @@ class Matroid:
 def broken_circuit_counts(matroid):
     """b_k: number of k-subsets including no broken circuit of the matroid.
 
-    Every such subset is independent, which is checked against every
-    circuit along the way.
+    Every such subset is checked to be independent along the way: the walk
+    adds positions in increasing order, so a circuit inside a subset is
+    caught when its maximum is added, by testing only the circuits with
+    that maximum.
     """
     ground = OrderedGroundSet(matroid.elements, cap=max(24, len(matroid.elements)))
     broken = [bc.subset for bc in derive_broken_circuits(CircuitFamily(matroid.circuits), ground)] if matroid.circuits else []
+    by_max = matroid._circuits_by_max
+
+    def include(i, acc):
+        t = acc | (1 << i)
+        for cm in by_max[i]:
+            if cm & t == cm:
+                raise RuntimeError("broken-circuit-free subset is dependent")
+        return t
+
     counts = [0] * (len(matroid.elements) + 1)
-    independent = matroid._is_independent_mask
-    for mask in iter_avoiding_masks(ground, broken):
-        if not independent(mask):
-            raise RuntimeError("broken-circuit-free subset is dependent")
-        counts[mask.bit_count()] += 1
+    hist = _signed_fold(len(matroid.elements), 0, include, int.bit_count, _broken_masks(ground, broken))
+    for k, count in hist.items():
+        # every subset under key k has k elements, so its count is |signed count|
+        counts[k] = abs(count)
     return tuple(counts)
 
 

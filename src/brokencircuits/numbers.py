@@ -501,6 +501,26 @@ def bonferroni_all(complex_):
     return all(bonferroni_check(complex_, r) for r in range(1, complex_.dimension + 2))
 
 
+def _chain_sums(divs, stat):
+    """{stat(A): sum of (-1)^{|A|-1}} over the nonempty divisibility chains A
+    of divs, with a zero entry for every element of divs.
+
+    The chains are walked on an explicit stack, each entry holding the next
+    position to try and the chain so far.
+    """
+    sums = {d: 0 for d in divs}
+    stack = [(0, ())]
+    while stack:
+        idx, chain = stack.pop()
+        if chain:
+            sums[stat(chain)] += 1 if len(chain) & 1 else -1
+        for j in range(idx, len(divs)):
+            d = divs[j]
+            if all(x % d == 0 or d % x == 0 for x in chain):
+                stack.append((j + 1, chain + (d,)))
+    return sums
+
+
 def chain_gcd_inner_sums(n):
     """For each divisor d < n: the alternating count (-1)^{|A|-1} of
     nonempty divisibility chains in the divisors below n with gcd d.
@@ -510,20 +530,7 @@ def chain_gcd_inner_sums(n):
     divs = [d for d in divisors(n) if d != n]
     if len(divs) > CHAIN_CAP:
         raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
-    sums = {d: 0 for d in divs}
-
-    def walk(idx, chain):
-        if chain:
-            g = gcd_all(chain)
-            sums[g] += 1 if len(chain) & 1 else -1
-        for j in range(idx, len(divs)):
-            if all(x % divs[j] == 0 or divs[j] % x == 0 for x in chain):
-                chain.append(divs[j])
-                walk(j + 1, chain)
-                chain.pop()
-
-    walk(0, [])
-    return sums
+    return _chain_sums(divs, gcd_all)
 
 
 def chain_lcm_inner_sums(n):
@@ -535,17 +542,4 @@ def chain_lcm_inner_sums(n):
     divs = [d for d in divisors(n) if d != 1]
     if len(divs) > CHAIN_CAP:
         raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
-    sums = {d: 0 for d in divs}
-
-    def walk(idx, chain):
-        if chain:
-            l = lcm_all(chain)
-            sums[l] += -1 if len(chain) & 1 else 1
-        for j in range(idx, len(divs)):
-            if all(x % divs[j] == 0 or divs[j] % x == 0 for x in chain):
-                chain.append(divs[j])
-                walk(j + 1, chain)
-                chain.pop()
-
-    walk(0, [])
-    return sums
+    return {d: -count for d, count in _chain_sums(divs, lcm_all).items()}

@@ -49,14 +49,15 @@ class TestCompute:
         assert len(walks) == 1
 
     def test_matroid_characteristic_walks_once(self, tmp_path, capsys, monkeypatch):
+        # the broken-circuit counts fold through the pruned kernel once
         walks = []
-        walk = matroids.iter_avoiding_masks
+        fold = matroids._signed_fold
 
         def counted(*args):
             walks.append(args)
-            return walk(*args)
+            return fold(*args)
 
-        monkeypatch.setattr(matroids, "iter_avoiding_masks", counted)
+        monkeypatch.setattr(matroids, "_signed_fold", counted)
         path = write(tmp_path, "u24.json", {"kind": "matroid", "uniform": [2, 4]})
         assert cli.main(["compute", "matroid-characteristic", path]) == 0
         assert capsys.readouterr().out == (
@@ -64,6 +65,7 @@ class TestCompute:
             '"polynomial":{"coeffs":["3","-4","1"],"var":"x"},"validated":true}\n'
         )
         assert len(walks) == 1
+        assert walks[0][4]  # U(2,4) has broken circuits to prune by
 
     def test_graph_chromatic_full_matches(self, tmp_path, capsys):
         path = write(tmp_path, "k3.json", K3)

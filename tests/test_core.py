@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -288,13 +289,25 @@ def test_avoiding_masks_is_a_lazy_generator():
     assert [next(walk) for _ in range(4)] == [0, 1 << 19, 1 << 18, 3 << 18]
 
 
-def _brute_fold(n, state_of_mask):
-    """The signed histogram computed per mask, from the subset's own state."""
+def _brute_fold(n, state_of_mask, broken=()):
+    """The signed histogram computed per mask, from the subset's own state,
+    over the masks that include no broken mask."""
     hist = {}
     for mask in range(1 << n):
+        if any(mask & b == b for b in broken):
+            continue
         key = state_of_mask(mask)
         hist[key] = hist.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
     return hist
+
+
+def _over(values, op, mask):
+    """op folded over the values at the positions of mask, from 0."""
+    acc = 0
+    for i, v in enumerate(values):
+        if mask >> i & 1:
+            acc = op(acc, v)
+    return acc
 
 
 def _brute_components(n_vertices, edges, mask):
@@ -339,17 +352,10 @@ def test_signed_fold_matches_per_mask_states(n):
     ors = [rng.getrandbits(6) for _ in range(n)]
     ints = [rng.choice([2, 3, 4, 6, 9, 10, 12, 15, 30, 36]) for _ in range(n)]
 
-    def over(values, op, start, mask):
-        acc = start
-        for i in range(n):
-            if mask >> i & 1:
-                acc = op(acc, values[i])
-        return acc
-
     got = _signed_fold(n, 0, lambda i, s: s | ors[i], lambda s: s)
-    assert got == _brute_fold(n, lambda m: over(ors, int.__or__, 0, m))
+    assert got == _brute_fold(n, lambda m: _over(ors, int.__or__, m))
     got = _signed_fold(n, 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g)
-    assert got == _brute_fold(n, lambda m: over(ints, math.gcd, 0, m))
+    assert got == _brute_fold(n, lambda m: _over(ints, math.gcd, m))
     # union-find states: edges of up to three vertices, loops included,
     # isolated vertices whenever the edges miss one
     n_vertices = rng.randint(1, 8)
@@ -358,6 +364,95 @@ def test_signed_fold_matches_per_mask_states(n):
     ]
     got = _component_histogram(n_vertices, edges)
     assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m))
+    broken = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))] if n else []
+    got = _component_histogram(n_vertices, edges, broken)
+    assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m), broken)
+
+
+def _fold_families(rng, n):
+    """Broken mask families for the pruned fold: none, random, an empty
+    mask, and a mask whose maximum is the last position."""
+    families = [[], [0]]
+    for _ in range(6):
+        families.append(
+            [sum(1 << p for p in rng.sample(range(n), rng.randint(1, min(3, n))))
+             for _ in range(rng.randint(1, 4))] if n else []
+        )
+    if n:
+        families.append([1 << (n - 1) | (1 << rng.randrange(n - 1) if n > 1 else 0)])
+        families.append([1 << (n - 1), 1])
+    return families
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pruned_fold_matches_brute_filter(n):
+    # the kernel with broken masks against the per-mask fold over the
+    # subsets that a containment filter keeps
+    from brokencircuits.core import _signed_fold
+
+    rng = random.Random(2000 + n)
+    ors = [rng.getrandbits(6) for _ in range(n)]
+    ints = [rng.choice([2, 3, 4, 6, 9, 10, 12, 15, 30, 36]) for _ in range(n)]
+    for broken in _fold_families(rng, n):
+        avoiding = _brute_avoiding(n, broken)
+        calls = []
+
+        def include(i, mask):
+            assert mask >> i == 0
+            calls.append(mask | 1 << i)
+            return mask | 1 << i
+
+        hist = _signed_fold(n, 0, include, lambda mask: mask, broken)
+        assert hist == {m: -1 if m.bit_count() & 1 else 1 for m in avoiding}, broken
+        # include runs once per nonempty avoiding subset
+        assert sorted(calls) == sorted(avoiding - {0}), broken
+        got = _signed_fold(n, 0, lambda i, s: s | ors[i], lambda s: s, broken)
+        assert got == _brute_fold(n, lambda m: _over(ors, int.__or__, m), broken)
+        got = _signed_fold(n, 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g, broken)
+        assert got == _brute_fold(n, lambda m: _over(ints, math.gcd, m), broken)
+        if broken and 0 in broken:
+            assert hist == {}
+
+
+def test_chain_subsets_match_recursive_walk():
+    # the explicit-stack walk yields the chains in the order of a recursive
+    # pre-order walk over a linear extension, each chain once
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(0, 7)
+        covers = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        poset = FinitePoset.from_covers(range(n), covers)
+        ext = poset.linear_extension()
+        expected = []
+
+        def walk(start, current):
+            expected.append(frozenset(current))
+            for j in range(start, len(ext)):
+                if all(poset.le(c, ext[j]) for c in current):
+                    walk(j + 1, current + [ext[j]])
+
+        walk(0, [])
+        got = list(poset.chain_subsets())
+        assert got == expected
+        assert set(got) == {
+            frozenset(s)
+            for r in range(n + 1)
+            for s in itertools.combinations(range(n), r)
+            if poset.is_chain(s)
+        }
+
+
+def test_chain_walk_leaves_no_reference_cycles():
+    poset = FinitePoset.from_covers(range(6), [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)])
+    gc.collect()
+    gc.disable()
+    try:
+        chains = list(poset.chain_subsets())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # at most one element from each of the levels {0}, {1, 2}, {3}, {4, 5}
+    assert len(chains) == 2 * 3 * 2 * 3
 
 
 def _all_subfamilies(broken):

@@ -379,3 +379,137 @@ class TestDegree1Upset:
             assert domination_polynomial(reordered, "pruned", broken=pendants) == direct
             assert domination_polynomial(reordered, "pruned") == direct
             built += 1
+
+
+def _avoids(mask, broken):
+    return not any(mask & b == b for b in broken)
+
+
+def _vertex_mask(graph, subset):
+    return sum(1 << graph.vertices.index(v) for v in subset)
+
+
+class TestFoldedPrunedRoutes:
+    @staticmethod
+    def ccf_graphs(seed):
+        rng = random.Random(seed)
+        out = [Graph.cycle(3), Graph.cycle(7), Graph.path(5)]
+        while len(out) < 25:
+            g = random_graph(rng, rng.randint(3, 9), rng.choice((0.2, 0.3, 0.45)))
+            if len(g.edges) <= 14 and is_cyclically_claw_free(g):
+                out.append(g)
+        return out
+
+    def test_restricted_and_acyclic_q_match_direct(self):
+        import gc
+
+        from brokencircuits.graphs import vertex_broken_circuits
+
+        for g in self.ccf_graphs(51):
+            n = len(g.vertices)
+            broken = [_vertex_mask(g, b) for b in vertex_broken_circuits(g)]
+            # the restricted sum taken per avoiding subset, from the subset's own counts
+            q = [0] * (n + 1)
+            for mask in range(1 << n):
+                if _avoids(mask, broken):
+                    subset = [g.vertices[i] for i in range(n) if mask >> i & 1]
+                    q[g.induced_component_count(subset)] += -1 if mask.bit_count() & 1 else 1
+            direct = q_at_minus_one(g, "direct")
+            assert IntPolynomial(q) == direct, g.edges
+            assert q_at_minus_one(g, "restricted") == direct, g.edges
+            assert q_at_minus_one(g, "acyclic") == direct, g.edges
+        gc.collect()
+        gc.disable()
+        try:
+            q_at_minus_one(Graph.cycle(12), "restricted")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_q_lists_the_cycles_once(self, monkeypatch):
+        import brokencircuits.graphs as mod
+
+        calls = []
+        listing = mod._vertex_cycles
+
+        def counted(*args):
+            calls.append(args)
+            return listing(*args)
+
+        monkeypatch.setattr(mod, "_vertex_cycles", counted)
+        # a triangle, a 4-cycle and an isolated vertex
+        g = Graph(range(8), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+        expected = q_at_minus_one(g, "direct")
+        for method in ("direct", "restricted", "acyclic"):
+            del calls[:]
+            assert q_at_minus_one(g, method) == expected
+            assert len(calls) == 1, method
+
+    def test_pruned_domination_with_pendants(self):
+        rng = random.Random(52)
+        built = 0
+        while built < 20:
+            g = random_graph(rng, rng.randint(4, 9), 0.3)
+            degs = [g.degree(v) for v in g.vertices]
+            if 0 in degs or 1 not in degs:
+                continue
+            if any(degs[u] == 1 and degs[v] == 1 for u, v in g.edges):
+                continue
+            reordered, pendants = degree1_upset_order(g)
+            n = len(reordered.vertices)
+            broken = [_vertex_mask(reordered, b) for b in pendants]
+            by_j = [0] * (n + 1)
+            for mask in range(1 << n):
+                if _avoids(mask, broken):
+                    subset = [reordered.vertices[i] for i in range(n) if mask >> i & 1]
+                    by_j[n - len(reordered.closed_neighborhood(subset))] += (
+                        -1 if mask.bit_count() & 1 else 1
+                    )
+            expected = [0] * (n + 1)
+            for j, count in enumerate(by_j):
+                for i in range(j + 1):
+                    expected[i] += count * comb(j, i)
+            got = domination_polynomial(reordered, "pruned", broken=pendants)
+            assert got == IntPolynomial(expected), g.edges
+            assert got == domination_polynomial(g, "direct"), g.edges
+            built += 1
+
+
+def _recursive_cycles(graph):
+    """Simple cycles from a recursive walk, in the order the witnesses rely on."""
+    adj = [sorted(s) for s in graph._adj]
+    cycles = []
+
+    def extend(path):
+        s = path[0]
+        for w in adj[path[-1]]:
+            if w == s and len(path) >= 3 and path[1] < path[-1]:
+                cycles.append(tuple(path))
+            elif w > s and w not in path:
+                extend(path + [w])
+
+    for s in range(len(graph.vertices)):
+        extend([s])
+    return cycles
+
+
+def test_cycle_listing_order_and_no_reference_cycles():
+    import gc
+
+    from brokencircuits.graphs import _vertex_cycles
+
+    rng = random.Random(53)
+    graphs = [Graph.complete(6), Graph.complete_bipartite(3, 3), Graph.cycle(5), Graph([], [])]
+    while len(graphs) < 25:
+        g = random_graph(rng, rng.randint(3, 8), 0.5)
+        if len(g.edges) <= 16:
+            graphs.append(g)
+    for g in graphs:
+        assert _vertex_cycles(g) == _recursive_cycles(g), g.edges
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(cycles_edge_sets(Graph.complete(6))) == 197
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -271,3 +271,62 @@ def test_full_route_matches_per_subset_components():
         for mask in range(1 << m):
             coeffs[hg._components_of_mask(mask)] += -1 if mask.bit_count() & 1 else 1
         assert hypergraph_chromatic(hg, "full") == IntPolynomial(coeffs), hg.edges
+
+
+def _brute_berge_cycle(hg, ids):
+    """Some cyclic order of the edges with pairwise distinct connecting vertices."""
+    ids = sorted(ids)
+    if len(ids) < 2:
+        return False
+    for order in itertools.permutations(ids[1:]):
+        seq = [hg.edges[i] for i in (ids[0], *order)]
+        links = [seq[k] & seq[(k + 1) % len(seq)] for k in range(len(seq))]
+        for vertices in itertools.product(*links):
+            if len(set(vertices)) == len(vertices):
+                return True
+    return False
+
+
+def test_berge_cycle_test_matches_brute_force():
+    rng = random.Random(62)
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        edges = {frozenset(rng.sample(range(n), rng.randint(2, min(4, n)))) for _ in range(rng.randint(2, 7))}
+        hg = Hypergraph(range(n), edges)
+        for r in range(1, min(5, len(hg.edges)) + 1):
+            for ids in itertools.combinations(range(len(hg.edges)), r):
+                assert is_berge_cycle_edge_set(hg, ids) == _brute_berge_cycle(hg, ids), (hg.edges, ids)
+
+
+def test_restricted_route_with_chosen_broken_circuits():
+    # every subfamily of the grid's broken circuits gives the full value,
+    # and the folded route matches the restricted sum taken per subset
+    from brokencircuits.core import OrderedGroundSet, derive_broken_circuits
+
+    for rows, cols in ((2, 4), (3, 3)):
+        hg, family = grid_rectangle_hypergraph(rows, cols)
+        m = len(hg.edges)
+        derived = [bc.subset for bc in derive_broken_circuits(family, OrderedGroundSet(range(m)))]
+        full = hypergraph_chromatic(hg, "full")
+        rng = random.Random(63 + rows)
+        for chosen in ([], derived[:1], rng.sample(derived, len(derived) // 2), derived):
+            masks = [sum(1 << i for i in b) for b in chosen]
+            coeffs = [0] * (len(hg.vertices) + 1)
+            for mask in range(1 << m):
+                if not any(mask & b == b for b in masks):
+                    coeffs[hg._components_of_mask(mask)] += -1 if mask.bit_count() & 1 else 1
+            got = hypergraph_chromatic(hg, "restricted", family, broken=chosen)
+            assert got == IntPolynomial(coeffs) == full, (rows, cols, chosen)
+
+
+def test_family_checks_leave_no_reference_cycles():
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        _, family = grid_rectangle_hypergraph(3, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(family) > 0

@@ -173,17 +173,17 @@ class TestRankInvariance:
             assert all(b == 0 for b in counts[m.full_rank + 1 :])
 
     def test_dependent_leaf_is_caught(self, monkeypatch):
-        # a walk that hands back a circuit must trip the per-leaf check
+        # a walk that drops the broken family reaches the circuits, which
+        # must trip the independence check
         import brokencircuits.matroids as mod
 
         m = Matroid.graphic(Graph.complete(4))
-        circuit = m._circuit_masks[0]
+        fold = mod._signed_fold
 
-        def rogue_walk(ground, broken):
-            yield 0
-            yield circuit
+        def unpruned_fold(n, start, include, key, broken=()):
+            return fold(n, start, include, key)
 
-        monkeypatch.setattr(mod, "iter_avoiding_masks", rogue_walk)
+        monkeypatch.setattr(mod, "_signed_fold", unpruned_fold)
         with pytest.raises(RuntimeError, match="dependent"):
             broken_circuit_counts(m)
 
@@ -233,3 +233,34 @@ def test_folded_rank_sums_match_per_subset_ranks():
             beta += sign * r
         assert characteristic_polynomial(m, "full") == IntPolynomial(chi), m
         assert beta_invariant(m, "full") == (-1) ** re * beta, m
+
+
+def test_broken_circuit_counts_match_per_subset_counts():
+    # the folded counts against a containment filter over every subset,
+    # on uniform, graphic and hand-made matroids with loops and parallels
+    rng = random.Random(72)
+    corpus = [
+        Matroid([], []),
+        Matroid([0, 1, 2], [frozenset({0})]),
+        Matroid([0, 1, 2], [frozenset({2})]),
+        Matroid([0, 1, 2, 3], [frozenset({1}), frozenset({0, 2}), frozenset({0, 3}), frozenset({2, 3})]),
+        Matroid.uniform(0, 4),
+        Matroid.uniform(2, 5),
+        Matroid.uniform(3, 7),
+        Matroid.uniform(6, 6),
+    ]
+    while len(corpus) < 20:
+        g = random_graph(rng, rng.randint(4, 7), rng.choice((0.5, 0.8)))
+        if 4 <= len(g.edges) <= 12:
+            corpus.append(Matroid.graphic(g))
+    for m in corpus:
+        n = len(m.elements)
+        broken = [cm ^ (1 << (cm.bit_length() - 1)) for cm in m._circuit_masks]
+        counts = [0] * (n + 1)
+        for mask in range(1 << n):
+            if not any(mask & b == b for b in broken):
+                assert m._is_independent_mask(mask)
+                counts[mask.bit_count()] += 1
+        assert broken_circuit_counts(m) == tuple(counts), m
+        assert characteristic_polynomial(m) == characteristic_polynomial(m, "full"), m
+        assert beta_invariant(m, "broken_circuit") == beta_invariant(m, "full"), m

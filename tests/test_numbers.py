@@ -344,6 +344,8 @@ def test_numbers_walks_leave_no_reference_cycles():
         "inverse_subset_sum": lambda: inverse_subset_sum(180, ident),
         "gcd_expansion gcd": lambda: gcd_expansion(180, "gcd"),
         "gcd_expansion lcm": lambda: gcd_expansion(180, "lcm"),
+        "chain_gcd_inner_sums": lambda: chain_gcd_inner_sums(48),
+        "chain_lcm_inner_sums": lambda: chain_lcm_inner_sums(48),
     }
     gc.collect()
     gc.disable()
