@@ -332,6 +332,8 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
     The simple cycles are listed once, for the precondition and the
     broken circuits.
     """
+    if method == "direct" and len(graph.vertices) > 20:
+        raise CapExceeded("q_at_minus_one direct needs |V| <= 20")
     cycles = _vertex_cycles(graph, cap)
     if not _claw_free_on(graph, cycles):
         raise PreconditionError("graph is not cyclically claw-free")

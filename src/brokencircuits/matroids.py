@@ -70,7 +70,15 @@ class Matroid:
         return m
 
     def _check_elimination(self):
+        """For circuits C1 != C2 and e in both, some circuit lies inside (C1 | C2) - e.
+
+        Many (pair, e) share one target, so each distinct target is tested
+        once, by a plain scan of the circuits: the rank helpers assume the
+        axioms under test.  The first failing pair in pair order is reported.
+        """
         masks = self._circuit_masks
+        # target mask -> whether some circuit lies inside it
+        holds = {}
         for ma, mb in itertools.combinations(masks, 2):
             inter = ma & mb
             if not inter:
@@ -80,7 +88,10 @@ class Matroid:
             while e:
                 bit = e & -e
                 target = union & ~bit
-                if not any(cm & target == cm for cm in masks):
+                found = holds.get(target)
+                if found is None:
+                    found = holds[target] = any(cm & target == cm for cm in masks)
+                if not found:
                     raise PreconditionError(
                         "circuit elimination fails for "
                         f"{sorted(map(repr, self._unmask(ma)))} and {sorted(map(repr, self._unmask(mb)))}"

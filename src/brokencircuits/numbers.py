@@ -431,7 +431,9 @@ class AbstractComplex:
                     raise PreconditionError(
                         f"not downward closed: {sorted(map(repr, f))} minus {v!r} is missing"
                     )
-        self.faces = tuple(sorted(face_set, key=lambda f: (len(f), sorted(map(repr, f)))))
+        # faces by size, then by their sorted vertex reprs; one repr per vertex
+        reprs = {v: repr(v) for f in face_set for v in f}
+        self.faces = tuple(sorted(face_set, key=lambda f: (len(f), sorted([reprs[v] for v in f]))))
         self._face_set = face_set
 
     def __len__(self):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -214,6 +217,21 @@ class TestMoreComputeKinds:
             code, out, _ = run(capsys, "compute", "graph-scp", path, "--method", method)
             assert code == 0
             assert out["polynomial"] == {"var": "y", "coeffs": ["1", "-1"]}
+
+    def test_graph_scp_direct_refuses_30_vertices(self, tmp_path):
+        # a 20-vertex path plus 10 isolated vertices: 2^30 subsets on the
+        # direct route, refused up front with exit 3
+        obj = {"kind": "graph", "vertices": list(range(30)), "edges": [[i, i + 1] for i in range(19)]}
+        path = write(tmp_path, "p20_plus_10.json", obj)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "brokencircuits.cli", "compute", "graph-scp", path],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "cap exceeded" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_graph_domination(self, tmp_path, capsys):
         p3 = {"kind": "graph", "vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]}

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from brokencircuits.algebra import BiPolynomial, IntPolynomial
-from brokencircuits.errors import PreconditionError, SchemaError
+from brokencircuits.errors import CapExceeded, PreconditionError, SchemaError
 from brokencircuits.graphs import (
     Graph,
     broken_neighbourhoods,
@@ -226,6 +226,26 @@ class TestSubgraphComponents:
         g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
         with pytest.raises(PreconditionError):
             q_at_minus_one(g, "restricted")
+
+    def test_direct_refuses_more_than_20_vertices(self, monkeypatch):
+        # refused up front, before the cycles are listed
+        import brokencircuits.graphs as mod
+
+        def no_listing(*args):
+            raise AssertionError("cycles listed")
+
+        monkeypatch.setattr(mod, "_vertex_cycles", no_listing)
+        path_plus_isolated = Graph(range(30), [(i, i + 1) for i in range(19)])
+        with pytest.raises(CapExceeded, match=r"needs \|V\| <= 20"):
+            q_at_minus_one(path_plus_isolated, "direct")
+        with pytest.raises(CapExceeded):
+            q_at_minus_one(Graph(range(21), []), "direct")
+
+    def test_direct_accepts_20_vertices(self, monkeypatch):
+        folds = []
+        monkeypatch.setattr(Graph, "_induced_fold", lambda self, key: folds.append(key) or {0: 1})
+        assert q_at_minus_one(Graph(range(20), []), "direct") == poly(1)
+        assert len(folds) == 1
 
 
 class TestDomination:

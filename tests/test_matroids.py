@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -264,3 +265,87 @@ def test_broken_circuit_counts_match_per_subset_counts():
         assert broken_circuit_counts(m) == tuple(counts), m
         assert characteristic_polynomial(m) == characteristic_polynomial(m, "full"), m
         assert beta_invariant(m, "broken_circuit") == beta_invariant(m, "full"), m
+
+
+def _scan_elimination(elements, circuits):
+    """The elimination check scanning every circuit for every (pair, e):
+    the error message of the first failing pair, or None."""
+    m = Matroid(elements, circuits, validate=False)
+    masks = m._circuit_masks
+    for ma, mb in itertools.combinations(masks, 2):
+        union = ma | mb
+        e = ma & mb
+        while e:
+            bit = e & -e
+            target = union & ~bit
+            if not any(cm & target == cm for cm in masks):
+                return (
+                    "circuit elimination fails for "
+                    f"{sorted(map(repr, m._unmask(ma)))} and {sorted(map(repr, m._unmask(mb)))}"
+                )
+            e ^= bit
+    return None
+
+
+def _elimination_error(elements, circuits):
+    try:
+        m = Matroid(elements, circuits)
+    except PreconditionError as exc:
+        return str(exc)
+    assert m.validated
+    return None
+
+
+def _random_antichain(rng, elements):
+    """The minimal sets among a few random nonempty subsets of elements."""
+    drawn = [frozenset(rng.sample(elements, rng.randint(1, len(elements)))) for _ in range(rng.randint(1, 10))]
+    kept = []
+    for s in sorted(set(drawn), key=len):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    rng.shuffle(kept)
+    return kept
+
+
+def test_elimination_check_matches_per_pair_scan():
+    rng = random.Random(73)
+    families = []
+    for base in (Matroid.uniform(2, 4), Matroid.graphic(Graph.complete(4))):
+        families.append((base.elements, base.circuits))
+        for dropped in base.circuits:
+            families.append((base.elements, [c for c in base.circuits if c != dropped]))
+    # U(1,3) beside a theta graph missing one of its triangles: only the
+    # last pair of circuits fails
+    only_last = [{0, 1}, {0, 2}, {1, 2}, {3, 4, 7}, {3, 4, 5, 6}]
+    families.append((range(8), only_last))
+    while len(families) < 300:
+        n = rng.randint(1, 8)
+        if rng.random() < 0.2:
+            g = random_graph(rng, rng.randint(3, 6), 0.6)
+            if 1 <= len(g.edges) <= 8:
+                m = Matroid.graphic(g)
+                families.append((m.elements, m.circuits))
+            continue
+        elements = list(range(n)) if rng.random() < 0.5 else [f"e{i}" for i in rng.sample(range(n), n)]
+        families.append((elements, _random_antichain(rng, elements)))
+    verdicts = set()
+    for elements, circuits in families:
+        expected = _scan_elimination(elements, circuits)
+        assert _elimination_error(elements, circuits) == expected, (elements, circuits)
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+    assert _elimination_error(range(8), only_last) == (
+        "circuit elimination fails for ['3', '4', '7'] and ['3', '4', '5', '6']"
+    )
+
+
+def test_uniform_5_12_is_validated():
+    m = Matroid.uniform(5, 12)
+    assert m.validated
+    # chi(U(r,n), x) = sum_{k<r} (-1)^k C(n,k) x^{r-k} + (-1)^r C(n-1, r-1)
+    r, n = 5, 12
+    coeffs = [0] * (r + 1)
+    for k in range(r):
+        coeffs[r - k] = (-1) ** k * comb(n, k)
+    coeffs[0] = (-1) ** r * comb(n - 1, r - 1)
+    assert characteristic_polynomial(m, "broken_circuit") == IntPolynomial(coeffs)

@@ -238,6 +238,19 @@ class TestComplexes:
         with pytest.raises(PreconditionError):
             AbstractComplex([frozenset({1, 2})])
 
+    def test_face_order_is_by_size_then_sorted_reprs(self):
+        def reference_order(faces):
+            return sorted(set(faces), key=lambda f: (len(f), sorted(map(repr, f))))
+
+        for kind in ("gcd", "lcm"):
+            faces = divisor_complex(180, kind).faces
+            assert list(faces) == reference_order(faces), kind
+        # every nonempty subset of mixed labels, some sharing a repr prefix
+        labels = [10, 2, "2", "a", (1, 2), (1,), "10", -3]
+        faces = [frozenset(c) for k in range(1, len(labels) + 1) for c in itertools.combinations(labels, k)]
+        mixed = AbstractComplex(reversed(faces))
+        assert list(mixed.faces) == reference_order(faces)
+
 
 class TestBonferroni:
     def test_s12_r1(self):
