@@ -14,59 +14,35 @@ the zeta-reciprocal approximation, and every restricted sum is
 cross-checkable against a brute-force oracle at desk scale.
 """
 
-from .algebra import BiPolynomial, IntPolynomial
-from .core import (
-    CircuitFamily,
-    FinitePoset,
-    IndexedSetFamily,
-    OrderedGroundSet,
-    SetFunction,
-    TableSetFunction,
-    derive_broken_circuits,
-    enumerate_avoiding,
-    maxmin_identity,
-    narushima_union,
-    restricted_union_size,
-    sum_full,
-    sum_over_chains,
-    sum_over_maxima,
-    sum_pruned,
-    verify_cancellation,
-)
-from .errors import CapExceeded, PreconditionError, SchemaError
-from .geometry import ClosureSystem, ConvexGeometry
-from .graphs import Graph
-from .hypergraphs import Hypergraph
-from .lattices import Crosscut, FiniteLattice
-from .matroids import Matroid
+import importlib
 
-__all__ = [
-    "BiPolynomial",
-    "CapExceeded",
-    "CircuitFamily",
-    "ClosureSystem",
-    "ConvexGeometry",
-    "Crosscut",
-    "FiniteLattice",
-    "FinitePoset",
-    "Graph",
-    "Hypergraph",
-    "IndexedSetFamily",
-    "IntPolynomial",
-    "Matroid",
-    "OrderedGroundSet",
-    "PreconditionError",
-    "SchemaError",
-    "SetFunction",
-    "TableSetFunction",
-    "derive_broken_circuits",
-    "enumerate_avoiding",
-    "maxmin_identity",
-    "narushima_union",
-    "restricted_union_size",
-    "sum_full",
-    "sum_over_chains",
-    "sum_over_maxima",
-    "sum_pruned",
-    "verify_cancellation",
-]
+# public name -> its home module, imported on first access (PEP 562), so
+# importing the package or one engine loads no other engine
+_HOMES = {
+    "algebra": ("BiPolynomial", "IntPolynomial"),
+    "core": (
+        "CircuitFamily", "FinitePoset", "IndexedSetFamily", "OrderedGroundSet", "SetFunction",
+        "TableSetFunction", "derive_broken_circuits", "enumerate_avoiding", "maxmin_identity",
+        "narushima_union", "restricted_union_size", "sum_full", "sum_over_chains",
+        "sum_over_maxima", "sum_pruned", "verify_cancellation",
+    ),
+    "errors": ("CapExceeded", "PreconditionError", "SchemaError"),
+    "geometry": ("ClosureSystem", "ConvexGeometry"),
+    "graphs": ("Graph",),
+    "hypergraphs": ("Hypergraph",),
+    "lattices": ("Crosscut", "FiniteLattice"),
+    "matroids": ("Matroid",),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

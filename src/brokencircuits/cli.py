@@ -6,16 +6,20 @@ parameters) to the matching engine and prints a result document;
 files from the built-in generators.  Stdout carries JSON only; human
 messages go to stderr.  Exit codes: 0 success, 1 failed checks, 2 schema
 error, 3 cap exceeded, 4 precondition violation.
+
+A table names each kind's engine module, imported when the kind runs, so
+a process loads only the engine it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import random
+import math
 import sys
 
-from . import core, geometry, graphs, hypergraphs, io, lattices, matroids, numbers, verify
+from . import io
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 
@@ -33,250 +37,245 @@ def _permutation(spec, size):
     return positions
 
 
-_INLINE_KINDS = {
-    "number-mobius",
-    "number-gcd-expansion",
-    "number-totient",
-    "number-dirichlet-inverse",
-    "number-zeta",
-    "number-complex",
+def _graph_chromatic(args, doc, graphs):
+    g = io.parse_graph(doc)
+    if args.permute_order:
+        perm = _permutation(args.permute_order, len(g.edges))
+        g = graphs.Graph(g.vertices, [g.edges[p] for p in perm])
+    method = args.method or "broken_circuit"
+    out = {"method": method}
+    if method == "broken_circuit":
+        counts = graphs.whitney_edge_counts(g)
+        out["counts"] = list(counts)
+        poly = graphs._chromatic_from_counts(g, counts)
+    else:
+        poly = graphs.chromatic_polynomial(g, method)
+    out["polynomial"] = poly.to_json()
+    return out
+
+
+def _graph_scp(args, doc, graphs):
+    method = args.method or "direct"
+    poly = graphs.q_at_minus_one(io.parse_graph(doc), method)
+    return {"method": method, "polynomial": poly.to_json(var="y")}
+
+
+def _graph_domination(args, doc, graphs):
+    method = args.method or "direct"
+    poly = graphs.domination_polynomial(io.parse_graph(doc), method)
+    return {"method": method, "polynomial": poly.to_json()}
+
+
+def _hypergraph_chromatic(args, doc, hypergraphs):
+    hg, embedded = io.parse_hypergraph(doc)
+    method = args.method or "full"
+    circuits = None
+    if method == "restricted":
+        spec = args.circuits or "embedded"
+        if spec == "embedded":
+            if embedded is None:
+                raise PreconditionError("instance has no embedded circuits")
+            circuits = embedded
+        elif spec.startswith("tight:"):
+            circuits = hypergraphs.tight_cycles(hg, int(spec.split(":", 1)[1]))
+        else:
+            raise SchemaError(f"unknown circuits source {spec!r}")
+    poly = hypergraphs.hypergraph_chromatic(hg, method, circuits)
+    return {"method": method, "polynomial": poly.to_json()}
+
+
+def _matroid_characteristic(args, doc, matroids):
+    m = io.parse_matroid(doc)
+    method = args.method or "broken_circuit"
+    out = {"method": method}
+    if method == "broken_circuit":
+        matroids._check_sum_cap(m, "characteristic polynomial")
+        counts = matroids.broken_circuit_counts(m)
+        out["counts"] = list(counts)
+        poly = matroids._characteristic_from_counts(m, counts)
+    else:
+        poly = matroids.characteristic_polynomial(m, method)
+    out["polynomial"] = poly.to_json()
+    out["validated"] = m.validated
+    return out
+
+
+def _matroid_beta(args, doc, matroids):
+    m = io.parse_matroid(doc)
+    values = {
+        method: matroids.beta_invariant(m, method)
+        for method in ("full", "broken_circuit", "derivative")
+    }
+    if len(set(values.values())) != 1:
+        raise RuntimeError(f"beta methods disagree: {values}")
+    return {"beta": values["full"], "methods": values}
+
+
+def _lattice_mobius(args, doc, lattices):
+    lat = io.parse_lattice(doc)
+    mu = lattices.mobius_function(lat)
+    return {"mobius": mu[lat.top], "function": [[io._unlabel(e), mu[e]] for e in lat.elements]}
+
+
+def _lattice_blass_sagan(args, doc, lattices):
+    lat, cut = io.parse_crosscut(doc)
+    family = lattices.blass_sagan_family(lat, cut)
+    value = lattices.blass_sagan_mobius(lat, cut, family=family)
+    return {"mobius": value, "family_size": len(family)}
+
+
+def _geometry_verify(args, doc, geometry):
+    report = {"closure_system": False, "convex_geometry": False}
+    try:
+        system = io.parse_geometry(doc)
+        report["closure_system"] = True
+        geometry.ConvexGeometry(system)
+    except (PreconditionError, SchemaError) as exc:
+        _emit(args, {"kind": args.what, **report, "witness": str(exc)})
+        raise
+    return {"closure_system": True, "convex_geometry": True}
+
+
+def _geometry_stats(args, doc, geometry):
+    cg = geometry.ConvexGeometry(io.parse_geometry(doc))
+    out = {"free_count": len(cg.free_sets()), "signed_count": geometry.count_free_signed(cg)}
+    if len(cg.ground) and cg.is_closed(frozenset()):
+        out["euler_characteristic"] = geometry.euler_characteristic_free(cg)
+    return out
+
+
+def _whitney_sum(args, doc, core):
+    ground, circuits, broken, f = io.parse_whitney(doc)
+    if args.permute_order:
+        perm = _permutation(args.permute_order, len(ground))
+        ground = ground.permuted(perm)
+    derived = [bc.subset for bc in core.derive_broken_circuits(circuits, ground)]
+    chosen = derived if broken == "all" else broken
+    allowed = set(derived)
+    for b in chosen:
+        if b not in allowed:
+            raise PreconditionError(f"{sorted(map(repr, b))} is not a broken circuit of the given family")
+    cancellation = "asserted"
+    report = None
+    if len(ground) <= (args.cap_elements or core.CANCELLATION_CAP):
+        report = core.verify_cancellation(f, circuits, ground)
+        cancellation = "verified" if report.ok else "violated"
+    pruned = core.sum_pruned(f, ground, chosen)
+    full = core.sum_full(f, ground) if len(ground) <= core.FULL_SUM_FEASIBLE else None
+    out = {
+        "cancellation": cancellation,
+        "pruned": _value_obj(pruned),
+        "counts": list(core.enumerate_avoiding(ground, chosen)),
+    }
+    if full is not None:
+        out["full"] = _value_obj(full)
+    if cancellation == "violated":
+        out["violation"] = {
+            "circuit": [io._unlabel(e) for e in sorted(report.circuit, key=repr)],
+            "superset": [io._unlabel(e) for e in sorted(report.superset, key=repr)],
+        }
+        _emit(args, {"kind": args.what, **out})
+        raise PreconditionError("cancellation condition violated")
+    return out
+
+
+def _value_obj(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return str(value) if isinstance(value, int) else io.rational_str(value)
+
+
+def _number_gcd_expansion(args, doc, numbers):
+    variant = args.variant or "gcd"
+    value = numbers.gcd_expansion(args.n, variant, modified_domain=args.modified_domain)
+    return {"n": args.n, "variant": variant, "value": value}
+
+
+def _number_totient(args, doc, numbers):
+    """number-totient and number-dirichlet-inverse, which differ only in the function."""
+    spec = args.h or "identity"
+    if spec == "identity":
+        h = numbers.MultiplicativeFunction.identity()
+    elif spec.startswith("power:"):
+        h = numbers.MultiplicativeFunction.power(int(spec.split(":", 1)[1]))
+    else:
+        raise SchemaError(f"unknown multiplicative function {spec!r}")
+    fn = numbers.totient if args.what == "number-totient" else numbers.dirichlet_inverse_totient
+    value = fn(args.n, h, args.method or "all", modified_domain=args.modified_domain)
+    return {"n": args.n, "h": h.name, "value": io.rational_str(value)}
+
+
+def _number_zeta(args, doc, numbers):
+    value = numbers.zeta_reciprocal(args.s, args.prime_bound)
+    out = {"s": args.s, "prime_bound": args.prime_bound, "value": io.float_str(value)}
+    if args.s == 2:
+        reference = 6 / math.pi**2
+        out["reference"] = io.float_str(reference)
+        out["error"] = io.float_str(abs(value - reference))
+    return out
+
+
+def _number_complex(args, doc, numbers):
+    variant = args.variant or "gcd"
+    cx = numbers.divisor_complex(args.n, variant)
+    return {
+        "n": args.n,
+        "variant": variant,
+        "faces": len(cx),
+        "euler_characteristic": cx.euler_characteristic(),
+        "bonferroni": numbers.bonferroni_all(cx),
+    }
+
+
+# compute kind -> (engine module, runner); a runner maps (args, instance
+# document, engine module) to the result's fields.  The number kinds take
+# inline parameters and no document, every other kind an instance file.
+_COMPUTE = {
+    "graph-chromatic": ("graphs", _graph_chromatic),
+    "graph-scp": ("graphs", _graph_scp),
+    "graph-domination": ("graphs", _graph_domination),
+    "hypergraph-chromatic": ("hypergraphs", _hypergraph_chromatic),
+    "matroid-characteristic": ("matroids", _matroid_characteristic),
+    "matroid-beta": ("matroids", _matroid_beta),
+    "lattice-mobius": ("lattices", _lattice_mobius),
+    "lattice-crosscut": ("lattices",
+                         lambda a, doc, m: {"mobius": m.rota_crosscut(*io.parse_crosscut(doc))}),
+    "lattice-blass-sagan": ("lattices", _lattice_blass_sagan),
+    "geometry-verify": ("geometry", _geometry_verify),
+    "geometry-stats": ("geometry", _geometry_stats),
+    "whitney-sum": ("core", _whitney_sum),
+    "number-mobius": ("numbers", lambda a, doc, m: {"n": a.n, "mobius": m.classical_mobius(a.n)}),
+    "number-gcd-expansion": ("numbers", _number_gcd_expansion),
+    "number-totient": ("numbers", _number_totient),
+    "number-dirichlet-inverse": ("numbers", _number_totient),
+    "number-zeta": ("numbers", _number_zeta),
+    "number-complex": ("numbers", _number_complex),
 }
 
 
 def _cmd_compute(args):
     kind = args.what
-    if kind not in _INLINE_KINDS and not args.file:
-        raise SchemaError(f"compute {kind} needs an instance file")
-    if kind in _INLINE_KINDS and kind != "number-zeta" and args.n is None:
-        raise SchemaError(f"compute {kind} needs --n")
-    if kind == "number-zeta" and (args.s is None or args.prime_bound is None):
-        raise SchemaError("compute number-zeta needs --s and --prime-bound")
-    if kind == "graph-chromatic":
-        g = io.parse_graph(io.load_instance(args.file))
-        if args.permute_order:
-            perm = _permutation(args.permute_order, len(g.edges))
-            g = graphs.Graph(g.vertices, [g.edges[p] for p in perm])
-        method = args.method or "broken_circuit"
-        out = {"kind": kind, "method": method}
-        if method == "broken_circuit":
-            counts = graphs.whitney_edge_counts(g)
-            out["counts"] = list(counts)
-            poly = graphs._chromatic_from_counts(g, counts)
-        else:
-            poly = graphs.chromatic_polynomial(g, method)
-        out["polynomial"] = poly.to_json()
-        _emit(args, out)
-    elif kind == "graph-scp":
-        g = io.parse_graph(io.load_instance(args.file))
-        method = args.method or "direct"
-        poly = graphs.q_at_minus_one(g, method)
-        _emit(args, {"kind": kind, "method": method, "polynomial": poly.to_json(var="y")})
-    elif kind == "graph-domination":
-        g = io.parse_graph(io.load_instance(args.file))
-        method = args.method or "direct"
-        poly = graphs.domination_polynomial(g, method)
-        _emit(args, {"kind": kind, "method": method, "polynomial": poly.to_json()})
-    elif kind == "hypergraph-chromatic":
-        hg, embedded = io.parse_hypergraph(io.load_instance(args.file))
-        method = args.method or "full"
-        circuits = None
-        if method == "restricted":
-            spec = args.circuits or "embedded"
-            if spec == "embedded":
-                if embedded is None:
-                    raise PreconditionError("instance has no embedded circuits")
-                circuits = embedded
-            elif spec.startswith("tight:"):
-                circuits = hypergraphs.tight_cycles(hg, int(spec.split(":", 1)[1]))
-            else:
-                raise SchemaError(f"unknown circuits source {spec!r}")
-        poly = hypergraphs.hypergraph_chromatic(hg, method, circuits)
-        _emit(args, {"kind": kind, "method": method, "polynomial": poly.to_json()})
-    elif kind == "matroid-characteristic":
-        m = io.parse_matroid(io.load_instance(args.file))
-        method = args.method or "broken_circuit"
-        out = {"kind": kind, "method": method}
-        if method == "broken_circuit":
-            matroids._check_sum_cap(m, "characteristic polynomial")
-            counts = matroids.broken_circuit_counts(m)
-            out["counts"] = list(counts)
-            poly = matroids._characteristic_from_counts(m, counts)
-        else:
-            poly = matroids.characteristic_polynomial(m, method)
-        out["polynomial"] = poly.to_json()
-        out["validated"] = m.validated
-        _emit(args, out)
-    elif kind == "matroid-beta":
-        m = io.parse_matroid(io.load_instance(args.file))
-        values = {
-            method: matroids.beta_invariant(m, method)
-            for method in ("full", "broken_circuit", "derivative")
-        }
-        if len(set(values.values())) != 1:
-            raise RuntimeError(f"beta methods disagree: {values}")
-        _emit(args, {"kind": kind, "beta": values["full"], "methods": values})
-    elif kind == "lattice-mobius":
-        lat = io.parse_lattice(io.load_instance(args.file))
-        mu = lattices.mobius_function(lat)
-        _emit(
-            args,
-            {
-                "kind": kind,
-                "mobius": mu[lat.top],
-                "function": [[io._unlabel(e), mu[e]] for e in lat.elements],
-            },
-        )
-    elif kind == "lattice-crosscut":
-        lat, cut = io.parse_crosscut(io.load_instance(args.file))
-        value = lattices.rota_crosscut(lat, cut)
-        _emit(args, {"kind": kind, "mobius": value})
-    elif kind == "lattice-blass-sagan":
-        lat, cut = io.parse_crosscut(io.load_instance(args.file))
-        family = lattices.blass_sagan_family(lat, cut)
-        value = lattices.blass_sagan_mobius(lat, cut, family=family)
-        _emit(args, {"kind": kind, "mobius": value, "family_size": len(family)})
-    elif kind == "geometry-verify":
-        obj = io.load_instance(args.file)
-        report = {"kind": kind, "closure_system": True, "convex_geometry": True}
-        try:
-            system = io.parse_geometry(obj)
-        except (PreconditionError, SchemaError) as exc:
-            report["closure_system"] = False
-            report["convex_geometry"] = False
-            report["witness"] = str(exc)
-            _emit(args, report)
-            raise
-        try:
-            geometry.ConvexGeometry(system)
-        except PreconditionError as exc:
-            report["convex_geometry"] = False
-            report["witness"] = str(exc)
-            _emit(args, report)
-            raise
-        _emit(args, report)
-    elif kind == "geometry-stats":
-        system = io.parse_geometry(io.load_instance(args.file))
-        cg = geometry.ConvexGeometry(system)
-        free = cg.free_sets()
-        out = {
-            "kind": kind,
-            "free_count": len(free),
-            "signed_count": geometry.count_free_signed(cg),
-        }
-        if len(cg.ground) and cg.is_closed(frozenset()):
-            out["euler_characteristic"] = geometry.euler_characteristic_free(cg)
-        _emit(args, out)
-    elif kind == "whitney-sum":
-        ground, circuits, broken, f = io.parse_whitney(io.load_instance(args.file))
-        if args.permute_order:
-            perm = _permutation(args.permute_order, len(ground))
-            ground = ground.permuted(perm)
-        derived = [bc.subset for bc in core.derive_broken_circuits(circuits, ground)]
-        if broken == "all":
-            chosen = derived
-        else:
-            allowed = set(derived)
-            chosen = broken
-            for b in chosen:
-                if b not in allowed:
-                    raise PreconditionError(
-                        f"{sorted(map(repr, b))} is not a broken circuit of the given family"
-                    )
-        cancellation = "asserted"
-        report = None
-        if len(ground) <= (args.cap_elements or core.CANCELLATION_CAP):
-            report = core.verify_cancellation(f, circuits, ground)
-            cancellation = "verified" if report.ok else "violated"
-        pruned = core.sum_pruned(f, ground, chosen)
-        full = core.sum_full(f, ground) if len(ground) <= core.FULL_SUM_FEASIBLE else None
-        out = {
-            "kind": kind,
-            "cancellation": cancellation,
-            "pruned": _value_obj(pruned),
-            "counts": list(core.enumerate_avoiding(ground, chosen)),
-        }
-        if full is not None:
-            out["full"] = _value_obj(full)
-        if cancellation == "violated":
-            out["violation"] = {
-                "circuit": [io._unlabel(e) for e in sorted(report.circuit, key=repr)],
-                "superset": [io._unlabel(e) for e in sorted(report.superset, key=repr)],
-            }
-            _emit(args, out)
-            raise PreconditionError("cancellation condition violated")
-        _emit(args, out)
-    elif kind == "number-mobius":
-        _emit(args, {"kind": kind, "n": args.n, "mobius": numbers.classical_mobius(args.n)})
-    elif kind == "number-gcd-expansion":
-        variant = args.variant or "gcd"
-        value = numbers.gcd_expansion(args.n, variant, modified_domain=args.modified_domain)
-        _emit(args, {"kind": kind, "n": args.n, "variant": variant, "value": value})
-    elif kind == "number-totient":
-        h = _parse_h(args.h)
-        value = numbers.totient(args.n, h, args.method or "all", modified_domain=args.modified_domain)
-        _emit(args, {"kind": kind, "n": args.n, "h": h.name, "value": io.rational_str(value)})
-    elif kind == "number-dirichlet-inverse":
-        h = _parse_h(args.h)
-        value = numbers.dirichlet_inverse_totient(
-            args.n, h, args.method or "all", modified_domain=args.modified_domain
-        )
-        _emit(args, {"kind": kind, "n": args.n, "h": h.name, "value": io.rational_str(value)})
-    elif kind == "number-zeta":
-        value = numbers.zeta_reciprocal(args.s, args.prime_bound)
-        out = {
-            "kind": kind,
-            "s": args.s,
-            "prime_bound": args.prime_bound,
-            "value": io.float_str(value),
-        }
-        if args.s == 2:
-            import math
-
-            reference = 6 / math.pi**2
-            out["reference"] = io.float_str(reference)
-            out["error"] = io.float_str(abs(value - reference))
-        _emit(args, out)
-    elif kind == "number-complex":
-        variant = args.variant or "gcd"
-        cx = numbers.divisor_complex(args.n, variant)
-        _emit(
-            args,
-            {
-                "kind": kind,
-                "n": args.n,
-                "variant": variant,
-                "faces": len(cx),
-                "euler_characteristic": cx.euler_characteristic(),
-                "bonferroni": numbers.bonferroni_all(cx),
-            },
-        )
-    else:
+    if kind not in _COMPUTE:
         raise SchemaError(f"unknown compute kind {kind!r}")
+    module, run = _COMPUTE[kind]
+    doc = None
+    if module != "numbers":
+        if not args.file:
+            raise SchemaError(f"compute {kind} needs an instance file")
+        doc = io.load_instance(args.file)
+    elif kind == "number-zeta":
+        if args.s is None or args.prime_bound is None:
+            raise SchemaError("compute number-zeta needs --s and --prime-bound")
+    elif args.n is None:
+        raise SchemaError(f"compute {kind} needs --n")
+    engine = importlib.import_module(f"{__package__}.{module}")
+    _emit(args, {"kind": kind, **run(args, doc, engine)})
     return 0
 
 
-def _value_obj(value):
-    from .algebra import BiPolynomial, IntPolynomial
-
-    if isinstance(value, IntPolynomial):
-        return value.to_json()
-    if isinstance(value, BiPolynomial):
-        return value.to_json()
-    if isinstance(value, int):
-        return str(value)
-    return io.rational_str(value)
-
-
-def _parse_h(spec):
-    spec = spec or "identity"
-    if spec == "identity":
-        return numbers.MultiplicativeFunction.identity()
-    if spec.startswith("power:"):
-        return numbers.MultiplicativeFunction.power(int(spec.split(":", 1)[1]))
-    raise SchemaError(f"unknown multiplicative function {spec!r}")
-
-
 def _cmd_verify(args):
+    from . import verify
+
     try:
         results = verify.run_suite(args.suite, args.seed)
     except KeyError:
@@ -285,12 +284,7 @@ def _cmd_verify(args):
         "suite": args.suite,
         "seed": args.seed,
         "checks": [
-            {
-                "name": r.name,
-                "status": r.status,
-                "witness": r.witness,
-                "seconds": round(r.seconds, 4),
-            }
+            {"name": r.name, "status": r.status, "witness": r.witness, "seconds": round(r.seconds, 4)}
             for r in results
         ],
         "ok": all(r.status != "fail" for r in results),
@@ -299,36 +293,39 @@ def _cmd_verify(args):
     return 0 if out["ok"] else 1
 
 
+def _planar_geometry(args, rng, geometry):
+    pts = set()
+    while len(pts) < args.n:
+        pts.add((rng.randint(0, 6), rng.randint(0, 6)))
+    return [geometry.planar_point_geometry(sorted(pts))]
+
+
+# generate kind -> (engine module, builder, io serializer); a builder maps
+# (args, rng, engine module) to the serializer's positional arguments
+_GENERATE = {
+    "random-graph": ("graphs", lambda a, rng, m: [m.random_graph(rng, a.n, a.p)], "graph_to_obj"),
+    "grid": ("hypergraphs", lambda a, rng, m: m.grid_rectangle_hypergraph(a.m, a.n),
+             "hypergraph_to_obj"),
+    "uniform-matroid": ("matroids", lambda a, rng, m: [m.Matroid.uniform(a.r, a.n)], "matroid_to_obj"),
+    "boolean-lattice": ("lattices", lambda a, rng, m: [m.boolean_lattice(a.n)], "lattice_to_obj"),
+    "divisor-lattice": ("lattices", lambda a, rng, m: [m.divisor_lattice(a.n)], "lattice_to_obj"),
+    "partition-lattice": ("lattices", lambda a, rng, m: [m.partition_lattice(a.n)], "lattice_to_obj"),
+    "interval-geometry": ("geometry", lambda a, rng, m: [m.interval_geometry(a.n)], "geometry_to_obj"),
+    "planar-geometry": ("geometry", _planar_geometry, "geometry_to_obj"),
+    "random-whitney": ("core", lambda a, rng, m: m.random_cancelling_instance(rng, a.n),
+                       "whitney_to_obj"),
+}
+
+
 def _cmd_generate(args):
-    rng = random.Random(args.seed)
-    kind = args.what
-    if kind == "random-graph":
-        g = graphs.random_graph(rng, args.n, args.p)
-        obj = io.graph_to_obj(g, seed=args.seed)
-    elif kind == "grid":
-        hg, family = hypergraphs.grid_rectangle_hypergraph(args.m, args.n)
-        obj = io.hypergraph_to_obj(hg, circuits=family, seed=args.seed)
-    elif kind == "uniform-matroid":
-        obj = io.matroid_to_obj(matroids.Matroid.uniform(args.r, args.n), seed=args.seed)
-    elif kind == "boolean-lattice":
-        obj = io.lattice_to_obj(lattices.boolean_lattice(args.n), seed=args.seed)
-    elif kind == "divisor-lattice":
-        obj = io.lattice_to_obj(lattices.divisor_lattice(args.n), seed=args.seed)
-    elif kind == "partition-lattice":
-        obj = io.lattice_to_obj(lattices.partition_lattice(args.n), seed=args.seed)
-    elif kind == "interval-geometry":
-        obj = io.geometry_to_obj(geometry.interval_geometry(args.n), seed=args.seed)
-    elif kind == "planar-geometry":
-        pts = set()
-        while len(pts) < args.n:
-            pts.add((rng.randint(0, 6), rng.randint(0, 6)))
-        obj = io.geometry_to_obj(geometry.planar_point_geometry(sorted(pts)), seed=args.seed)
-    elif kind == "random-whitney":
-        ground, circuits, f = core.random_cancelling_instance(rng, args.n)
-        obj = io.whitney_to_obj(ground, circuits, f, seed=args.seed)
-    else:
-        raise SchemaError(f"unknown generator kind {kind!r}")
-    _emit(args, obj)
+    import random
+
+    if args.what not in _GENERATE:
+        raise SchemaError(f"unknown generator kind {args.what!r}")
+    module, build, serializer = _GENERATE[args.what]
+    engine = importlib.import_module(f"{__package__}.{module}")
+    parts = build(args, random.Random(args.seed), engine)
+    _emit(args, getattr(io, serializer)(*parts, seed=args.seed))
     return 0
 
 
@@ -380,7 +377,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
+    except (SchemaError, FileNotFoundError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
@@ -389,9 +386,6 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

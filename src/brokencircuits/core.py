@@ -22,7 +22,6 @@ functions over immutable inputs, so concurrent use is safe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
@@ -193,12 +192,36 @@ class CircuitFamily:
         return f"CircuitFamily({len(self.circuits)} circuits)"
 
 
-@dataclass(frozen=True)
-class BrokenCircuit:
+class _Record:
+    """Immutable record: equal, hashed and printed by the fields __init__ stores, in order."""
+
+    def _set(self, **fields):
+        # one attribute at a time, so instances share their dict keys
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BrokenCircuit(_Record):
     """A circuit with its maximum element removed, plus the witness circuit."""
 
-    subset: frozenset
-    witness: frozenset
+    def __init__(self, subset: frozenset, witness: frozenset):
+        self._set(subset=subset, witness=witness)
 
 
 def derive_broken_circuits(family, ground):
@@ -407,14 +430,11 @@ def enumerate_avoiding(ground, broken):
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class CancellationReport:
+class CancellationReport(_Record):
     """Outcome of the exhaustive cancellation check."""
 
-    ok: bool
-    checked: int
-    circuit: frozenset | None
-    superset: frozenset | None
+    def __init__(self, ok: bool, checked: int, circuit: frozenset | None, superset: frozenset | None):
+        self._set(ok=ok, checked=checked, circuit=circuit, superset=superset)
 
     def __bool__(self):
         return self.ok
@@ -614,11 +634,9 @@ class FinitePoset:
                     current.pop()
 
 
-@dataclass(frozen=True)
-class MaximaReduction:
-    restricted: object
-    full: object | None
-    cancellation: CancellationReport | None
+class MaximaReduction(_Record):
+    def __init__(self, restricted: object, full: object | None, cancellation: CancellationReport | None):
+        self._set(restricted=restricted, full=full, cancellation=cancellation)
 
 
 def sum_over_maxima(f, poset, check=True):

@@ -330,17 +330,19 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
     the vertex broken circuits; acyclic additionally rewrites the exponent
     as |A| - m(G[A]), valid because the surviving subsets induce forests.
     The simple cycles are listed once, for the precondition and the
-    broken circuits.
+    broken circuits.  Every method refuses more than 20 vertices up front.
     """
-    if method == "direct" and len(graph.vertices) > 20:
-        raise CapExceeded("q_at_minus_one direct needs |V| <= 20")
+    if method not in ("direct", "restricted", "acyclic"):
+        raise SchemaError(f"unknown method {method!r}")
+    if len(graph.vertices) > 20:
+        raise CapExceeded(f"q_at_minus_one {method} needs |V| <= 20")
     cycles = _vertex_cycles(graph, cap)
     if not _claw_free_on(graph, cycles):
         raise PreconditionError("graph is not cyclically claw-free")
     n = len(graph.vertices)
     if method == "direct":
         hist = graph._induced_fold(len)
-    elif method in ("restricted", "acyclic"):
+    else:
         ground = OrderedGroundSet(graph.vertices)
         broken = _broken_masks(ground, _vertex_broken_circuits(graph, ground, cycles))
         if method == "restricted":
@@ -354,8 +356,6 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
                 return a | (1 << i), exponent + 1 - (nbs[i] & a).bit_count()
 
             hist = _signed_fold(n, (0, 0), include, itemgetter(1), broken)
-    else:
-        raise SchemaError(f"unknown method {method!r}")
     coeffs = [0] * (n + 1)
     for c, count in hist.items():
         coeffs[c] = count

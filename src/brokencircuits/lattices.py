@@ -14,9 +14,9 @@ implements it that way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import CircuitFamily, OrderedGroundSet, SetFunction, derive_broken_circuits, sum_pruned
+from .core import CircuitFamily, OrderedGroundSet, SetFunction, _Record
+from .core import derive_broken_circuits, sum_pruned
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 CROSSCUT_CAP = 20
@@ -333,8 +333,7 @@ def rota_crosscut(lattice, crosscut, drop_meet_condition=False):
     return total
 
 
-@dataclass(frozen=True)
-class BrokenCrosscutSet:
+class BrokenCrosscutSet(_Record):
     """A pruned subset of the crosscut with its witnesses.
 
     ``witnesses`` maps each member b to the chosen c strictly preceding b
@@ -343,10 +342,8 @@ class BrokenCrosscutSet:
     the set fed to the engine, whose minimum is ``added``.
     """
 
-    subset: frozenset
-    witnesses: dict
-    added: object
-    circuit: frozenset
+    def __init__(self, subset: frozenset, witnesses: dict, added: object, circuit: frozenset):
+        self._set(subset=subset, witnesses=witnesses, added=added, circuit=circuit)
 
     def __hash__(self):
         return hash((self.subset, self.added))

@@ -11,19 +11,16 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra, core, geometry, graphs, hypergraphs, lattices, matroids, numbers, oracles
 from .errors import CapExceeded
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # pass | fail | skip
-    witness: str | None
-    seconds: float
+class CheckResult(core._Record):
+    def __init__(self, name: str, status: str, witness: str | None, seconds: float):
+        # status is pass, fail or skip
+        self._set(name=name, status=status, witness=witness, seconds=seconds)
 
 
 def _named_graphs():

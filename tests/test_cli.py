@@ -23,6 +23,15 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+def cli_process(*argv, script=None):
+    """A fresh ``brokencircuits`` process on argv (or a script taking argv), 30 s at most."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    command = ["-c", script] if script else ["-m", "brokencircuits.cli"]
+    return subprocess.run(
+        [sys.executable, *command, *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+
+
 K3 = {"kind": "graph", "vertices": [0, 1, 2], "edges": [[0, 1], [0, 2], [1, 2]]}
 
 
@@ -223,11 +232,17 @@ class TestMoreComputeKinds:
         # direct route, refused up front with exit 3
         obj = {"kind": "graph", "vertices": list(range(30)), "edges": [[i, i + 1] for i in range(19)]}
         path = write(tmp_path, "p20_plus_10.json", obj)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "brokencircuits.cli", "compute", "graph-scp", path],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        proc = cli_process("compute", "graph-scp", path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "cap exceeded" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_graph_scp_restricted_refuses_24_vertices(self, tmp_path):
+        # no edges, so no broken sets: the pruned route would fold all 2^24
+        # vertex subsets
+        path = write(tmp_path, "e24.json", {"kind": "graph", "vertices": list(range(24)), "edges": []})
+        proc = cli_process("compute", "graph-scp", path, "--method", "restricted")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "cap exceeded" in proc.stderr
@@ -357,6 +372,63 @@ class TestExitCodes:
     def test_unknown_kind(self, capsys):
         code, _, err = run(capsys, "compute", "nonsense", "--n", "3")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "kind, instance",
+        [
+            ("graph-chromatic", {"kind": "graph", "vertices": [0, 1], "edges": 5}),
+            ("graph-chromatic", {"kind": "graph", "vertices": [0, 1, 2], "edges": [[0, 1, 2]]}),
+            ("graph-chromatic", {"kind": "graph", "vertices": "ab", "edges": []}),
+            ("graph-chromatic", {"kind": "graph", "vertices": [{"a": 1}], "edges": []}),
+            ("matroid-characteristic", {"kind": "matroid", "uniform": [2]}),
+            ("matroid-characteristic", {"kind": "matroid", "uniform": [2, "4"]}),
+            ("matroid-characteristic", {"kind": "matroid", "graphic": [[0, 1]]}),
+            ("hypergraph-chromatic",
+             {"kind": "hypergraph", "vertices": [0, 1], "edges": [[0, 1]], "circuits": [0]}),
+            ("lattice-mobius", {"kind": "lattice", "elements": [0, 1], "covers": [[0]]}),
+            ("lattice-crosscut", {"kind": "crosscut", "lattice": 5, "crosscut": [1]}),
+            ("geometry-stats", {"kind": "geometry", "elements": [1], "closed": [1]}),
+            ("whitney-sum", {"kind": "whitney", "elements": ["a"], "circuits": [["a"]],
+                             "function": {"kind": "table", "entries": [[["a"], "1", "2"]]}}),
+        ],
+    )
+    def test_malformed_shape_exits_2(self, tmp_path, kind, instance):
+        proc = cli_process("compute", kind, write(tmp_path, "bad.json", instance))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "schema error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# records the modules a process newly loads around cli.main
+FOOTPRINT = """
+import json, sys
+before = set(sys.modules)
+from brokencircuits import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, engine, absent",
+    [
+        (["graph-chromatic", "k3.json"], "graphs",
+         ["verify", "lattices", "numbers", "geometry", "hypergraphs", "matroids"]),
+        (["number-totient", "--n", "180"], "numbers",
+         ["graphs", "matroids", "lattices", "geometry", "hypergraphs", "verify"]),
+    ],
+)
+def test_compute_loads_only_its_engine(tmp_path, args, engine, absent):
+    write(tmp_path, "k3.json", K3)
+    argv = ["compute", *(str(tmp_path / a) if a.endswith(".json") else a for a in args)]
+    proc = cli_process(*argv, script=FOOTPRINT)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert f"brokencircuits.{engine}" in loaded
+    unexpected = {f"brokencircuits.{m}" for m in absent} | {"dataclasses", "inspect"}
+    assert not loaded & unexpected
 
 
 class TestWhitneyTables:

@@ -247,6 +247,29 @@ class TestSubgraphComponents:
         assert q_at_minus_one(Graph(range(20), []), "direct") == poly(1)
         assert len(folds) == 1
 
+    @pytest.mark.parametrize("method", ["restricted", "acyclic"])
+    def test_pruned_routes_refuse_more_than_20_vertices(self, monkeypatch, method):
+        # isolated vertices leave no broken sets, so the pruned routes would
+        # fold all 2^|V| subsets; they are refused up front like direct
+        import brokencircuits.graphs as mod
+
+        def no_listing(*args):
+            raise AssertionError("cycles listed")
+
+        monkeypatch.setattr(mod, "_vertex_cycles", no_listing)
+        with pytest.raises(CapExceeded, match=rf"{method} needs \|V\| <= 20"):
+            q_at_minus_one(Graph(range(21), []), method)
+
+    @pytest.mark.parametrize("method", ["restricted", "acyclic"])
+    def test_pruned_routes_accept_20_vertices(self, monkeypatch, method):
+        import brokencircuits.graphs as mod
+
+        folds = []
+        monkeypatch.setattr(Graph, "_induced_fold", lambda self, *args: folds.append(args) or {0: 1})
+        monkeypatch.setattr(mod, "_signed_fold", lambda *args: folds.append(args) or {0: 1})
+        assert q_at_minus_one(Graph(range(20), []), method) == poly(1)
+        assert len(folds) == 1
+
 
 class TestDomination:
     def test_p2(self):
