@@ -29,7 +29,7 @@ from .errors import CapExceeded, PreconditionError, SchemaError
 
 DEFAULT_ENUMERATION_CAP = 24
 CANCELLATION_CAP = 18
-# sum_full is only offered as a cross-check above this size
+# full 2^n edge sums refuse more elements, and sum_full is a cross-check only up to it
 FULL_SUM_FEASIBLE = 20
 # iter_avoiding_masks expands a free suffix of at most this many elements
 # from a table of 2^SUFFIX_CUBE_BITS masks
@@ -373,6 +373,28 @@ def _signed_fold(n, start, include, key, broken=()):
             k = key(include(last, state))
             hist[k] = get(k, 0) - sign
     return hist
+
+
+def _image_fold(n, start, include, key):
+    """The nonzero entries of ``_signed_fold(n, start, include, key)``, swept
+    level by level over distinct states instead of subsets: position i adds
+    each state's signed count, negated, at ``include(i, state)``, and states
+    that cancel are dropped.  The work is the sum of the distinct states per
+    level, n times a small image (a gcd, lcm, hull or neighbourhood union).
+    """
+    level = {start: 1}
+    for i in range(n):
+        nxt = level.copy()
+        get = nxt.get
+        for state, count in level.items():
+            image = include(i, state)
+            nxt[image] = get(image, 0) - count
+        level = {state: count for state, count in nxt.items() if count}
+    hist = {}
+    for state, count in level.items():
+        k = key(state)
+        hist[k] = hist.get(k, 0) + count
+    return {k: count for k, count in hist.items() if count}
 
 
 def _component_histogram(n_vertices, edges, broken=()):

@@ -20,9 +20,11 @@ from operator import itemgetter
 from .algebra import BiPolynomial, IntPolynomial
 from .core import (
     CircuitFamily,
+    FULL_SUM_FEASIBLE,
     OrderedGroundSet,
     _broken_masks,
     _component_histogram,
+    _image_fold,
     _signed_fold,
     derive_broken_circuits,
     enumerate_avoiding,
@@ -274,6 +276,9 @@ def chromatic_polynomial(graph, method="broken_circuit", cycle_cap=CYCLE_CAP):
     coefficients directly.
     """
     if method == "full":
+        if len(graph.edges) > FULL_SUM_FEASIBLE:
+            raise CapExceeded(f"the full sum over 2^{len(graph.edges)} edge subsets needs "
+                              f"|E| <= {FULL_SUM_FEASIBLE}")
         coeffs = [0] * (len(graph.vertices) + 1)
         for c, count in _component_histogram(len(graph.vertices), graph._edge_ends).items():
             coeffs[c] = count
@@ -391,7 +396,7 @@ def domination_polynomial(graph, method="direct", broken=None):
         # the state is N[A] with |A| counted in the bits above the n vertex bits
         full = (1 << n) - 1
         step = 1 << n
-        hist = _signed_fold(
+        hist = _image_fold(
             n, 0, lambda i, s: (s | nbs[i]) + step,
             lambda s: s >> n if s & full == full else -1,
         )
@@ -401,7 +406,7 @@ def domination_polynomial(graph, method="direct", broken=None):
                 coeffs[k] = abs(count)
         return IntPolynomial(coeffs)
     if method == "alternating":
-        masks = ()
+        hist = _image_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count)
     elif method == "pruned":
         for i in range(n):
             if not graph._adj[i]:
@@ -420,11 +425,12 @@ def domination_polynomial(graph, method="direct", broken=None):
                         f"{sorted(map(repr, b))} is not a broken neighbourhood of the graph"
                     )
         masks = _broken_masks(OrderedGroundSet(graph.vertices), broken)
+        hist = _signed_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count, masks)
     else:
         raise SchemaError(f"unknown method {method!r}")
     # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j
     by_j = [0] * (n + 1)
-    for size, count in _signed_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count, masks).items():
+    for size, count in hist.items():
         by_j[n - size] = count
     coeffs = [0] * (n + 1)
     for j, count in enumerate(by_j):

@@ -15,6 +15,7 @@ import itertools
 
 from .algebra import IntPolynomial
 from .core import (
+    FULL_SUM_FEASIBLE,
     CircuitFamily,
     OrderedGroundSet,
     _broken_masks,
@@ -165,6 +166,9 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
     n = len(hypergraph.vertices)
     coeffs = [0] * (n + 1)
     if method == "full":
+        if len(hypergraph.edges) > FULL_SUM_FEASIBLE:
+            raise CapExceeded(f"the full sum over 2^{len(hypergraph.edges)} edge subsets needs "
+                              f"|E| <= {FULL_SUM_FEASIBLE}")
         for c, count in _component_histogram(n, hypergraph._edge_vidx).items():
             coeffs[c] = count
         return IntPolynomial(coeffs)

@@ -14,7 +14,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .core import _signed_fold
+from .core import _image_fold
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 FACTOR_CAP = 10**6
@@ -134,12 +134,12 @@ class DivisorLattice:
 
 def _gcd_histogram(domain):
     """{gcd(A): sum of (-1)^|A|} over the subsets A of the domain; gcd of the empty set is 0."""
-    return _signed_fold(len(domain), 0, lambda i, g: math.gcd(g, domain[i]), lambda g: g)
+    return _image_fold(len(domain), 0, lambda i, g: math.gcd(g, domain[i]), lambda g: g)
 
 
 def _lcm_histogram(domain):
     """{lcm(A): sum of (-1)^|A|} over the subsets A of the domain; lcm of the empty set is 1."""
-    return _signed_fold(len(domain), 1, lambda i, l: math.lcm(l, domain[i]), lambda l: l)
+    return _image_fold(len(domain), 1, lambda i, l: math.lcm(l, domain[i]), lambda l: l)
 
 
 def _signed_gcd_sum(domain):
@@ -171,8 +171,6 @@ def gcd_expansion(n, variant="gcd", modified_domain=False):
     if n < 1:
         raise PreconditionError("n must be positive")
     lat = DivisorLattice(n)
-    if len(lat.divisors) > SUBSET_CAP:
-        raise CapExceeded(f"subset expansion needs d(n) <= {SUBSET_CAP}")
     prime = len(lat.prime_factors) == 1 and n in lat.prime_factors
     if prime and not modified_domain:
         raise PreconditionError(
@@ -279,8 +277,6 @@ def totient_subset_sum(n, h=None, modified_domain=False, restrict=False):
     h = h or MultiplicativeFunction.identity()
     _require_totient_domain(n, h)
     divs = divisors(n)
-    if len(divs) > SUBSET_CAP:
-        raise CapExceeded(f"subset expansion needs d(n) <= {SUBSET_CAP}")
     if n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n) and not modified_domain:
         raise PreconditionError("prime n needs the modified domain")
     domain = [d for d in divs if d != n] if modified_domain else [
@@ -314,7 +310,7 @@ def totient(n, h=None, method="all", modified_domain=False):
     via_divisors = totient_divisor_sum(n, h)
     results = {"product": value, "divisor_sum": via_divisors}
     prime = n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n)
-    if len(divisors(n)) <= SUBSET_CAP and (modified_domain or not prime):
+    if modified_domain or not prime:
         results["subset_sum"] = h(n) - totient_subset_sum(
             n, h, modified_domain=modified_domain
         )
@@ -361,8 +357,6 @@ def inverse_subset_sum(n, h=None, modified_domain=False, restrict=False):
     """
     h = h or MultiplicativeFunction.identity()
     divs = divisors(n)
-    if len(divs) > SUBSET_CAP:
-        raise CapExceeded(f"subset expansion needs d(n) <= {SUBSET_CAP}")
     prime = n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n)
     if prime and not modified_domain:
         raise PreconditionError("prime n needs the modified domain")
@@ -394,7 +388,7 @@ def dirichlet_inverse_totient(n, h=None, method="all", modified_domain=False):
     value = inverse_product(n, h)
     results = {"product": value, "divisor_sum": inverse_divisor_sum(n, h)}
     prime = n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n)
-    if len(divisors(n)) <= SUBSET_CAP and (modified_domain or not prime):
+    if modified_domain or not prime:
         results["subset_sum"] = inverse_subset_sum(n, h, modified_domain=modified_domain)
     if len(set(results.values())) != 1:
         raise RuntimeError(f"Dirichlet inverse methods disagree: {results}")

@@ -248,6 +248,28 @@ class TestMoreComputeKinds:
         assert "cap exceeded" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_full_hypergraph_route_refuses_the_4x4_grid(self, tmp_path):
+        # 36 edges: the default full method would fold 2^36 edge subsets
+        grid = cli_process("generate", "grid", "--m", "4", "--n", "4")
+        assert grid.returncode == 0
+        path = tmp_path / "grid4x4.json"
+        path.write_text(grid.stdout)
+        proc = cli_process("compute", "hypergraph-chromatic", str(path))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "2^36 edge subsets" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_number_routes_at_720720(self):
+        for kind, value in (("number-totient", "138240"), ("number-dirichlet-inverse", "5760")):
+            proc = cli_process("compute", kind, "--n", "720720")
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["value"] == value
+        for variant in ("gcd", "lcm"):
+            proc = cli_process("compute", "number-gcd-expansion", "--n", "720720", "--variant", variant)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["value"] == 0
+
     def test_graph_domination(self, tmp_path, capsys):
         p3 = {"kind": "graph", "vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]}
         path = write(tmp_path, "p3.json", p3)

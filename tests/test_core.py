@@ -414,6 +414,81 @@ def test_pruned_fold_matches_brute_filter(n):
             assert hist == {}
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_image_fold_matches_signed_fold(n):
+    # the distinct-state sweep against the subset fold: lattice states that
+    # repeat, the identity mask state that never repeats, and states whose
+    # signed counts cancel
+    from brokencircuits.core import _image_fold, _signed_fold
+
+    rng = random.Random(3000 + n)
+    ors = [rng.getrandbits(6) for _ in range(n)]
+    ints = [rng.choice([2, 3, 4, 6, 9, 10, 12, 15, 30, 36]) for _ in range(n)]
+    cases = [
+        (0, lambda i, s: s | ors[i], lambda s: s),
+        (0, lambda i, s: s | ors[i], int.bit_count),
+        (0, lambda i, g: math.gcd(g, ints[i]), lambda g: g),
+        (1, lambda i, l: math.lcm(l, ints[i]), lambda l: l),
+        (0, lambda i, mask: mask | 1 << i, lambda mask: mask),
+    ]
+    # the last position leaves every state as it is, so all counts cancel
+    cancelling = (0, lambda i, s: s if i == n - 1 else s | ors[i], lambda s: s)
+    for start, include, key in cases + [cancelling]:
+        nonzero = {k: c for k, c in _signed_fold(n, start, include, key).items() if c}
+        assert _image_fold(n, start, include, key) == nonzero
+    assert _image_fold(n, *cancelling) == ({} if n else {0: 1})
+
+
+def test_image_fold_work_is_the_distinct_states_per_level():
+    from brokencircuits.core import _image_fold, _signed_fold
+    from brokencircuits.numbers import divisors
+
+    def counted(values, op):
+        calls = []
+
+        def include(i, s):
+            calls.append((i, s))
+            return op(s, values[i])
+
+        return include, calls
+
+    # the gcd domain of 180: the 16 divisors strictly between 1 and 180;
+    # a state is 0 (the empty set) or one of the 17 divisors below 180
+    domain = [d for d in divisors(180) if d not in (1, 180)]
+    include, calls = counted(domain, math.gcd)
+    hist = _image_fold(len(domain), 0, include, lambda g: g)
+    assert len(domain) == 16
+    assert len(calls) <= 16 * 18
+    assert hist == {
+        g: c for g, c in _signed_fold(16, 0, lambda i, g: math.gcd(g, domain[i]), lambda g: g).items() if c
+    }
+    # 20 positions with 4-bit OR states: at most 16 states per level,
+    # one include call per state, where the subset fold makes 2^20 - 1
+    rng = random.Random(31)
+    ors = [rng.getrandbits(4) for _ in range(20)]
+    include, calls = counted(ors, int.__or__)
+    _image_fold(20, 0, include, lambda s: s)
+    assert len(calls) <= 20 * 16
+    for i in range(20):
+        states = [s for j, s in calls if j == i]
+        assert len(states) == len(set(states))
+
+
+def test_image_fold_leaves_no_reference_cycles():
+    from brokencircuits.core import _image_fold
+
+    ints = [6, 10, 15, 4, 9, 25, 30, 12]
+    gc.collect()
+    gc.disable()
+    try:
+        hist = _image_fold(len(ints), 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    brute = _brute_fold(len(ints), lambda m: _over(ints, math.gcd, m))
+    assert hist == {g: c for g, c in brute.items() if c}
+
+
 def test_chain_subsets_match_recursive_walk():
     # the explicit-stack walk yields the chains in the order of a recursive
     # pre-order walk over a linear extension, each chain once

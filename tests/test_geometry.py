@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -90,6 +91,19 @@ class TestConvexGeometry:
             ConvexGeometry(cs)
 
 
+def _brute_signed_hull_sum(cg):
+    """sum over every subset A of (-1)^{|hull A| - |A|}, each hull the
+    intersection of the closed sets containing A."""
+    ground = frozenset(cg.ground)
+    closed = cg.system.closed_sets
+    total = 0
+    for r in range(len(ground) + 1):
+        for a in itertools.combinations(cg.ground, r):
+            hull = ground.intersection(*(c for c in closed if c.issuperset(a)))
+            total += -1 if (len(hull) - r) & 1 else 1
+    return total
+
+
 class TestCounts:
     def test_count_free_signed_interval(self):
         assert count_free_signed(interval_geometry(3)) == 6
@@ -97,6 +111,21 @@ class TestCounts:
     def test_count_free_signed_discrete(self):
         for n in range(4):
             assert count_free_signed(discrete_geometry(range(n))) == 2**n
+
+    def test_count_free_signed_matches_per_subset_hulls(self):
+        rng = random.Random(41)
+        vee = FinitePoset.from_covers("abcd", [("a", "c"), ("b", "c"), ("c", "d")])
+        geometries = [
+            interval_geometry(9),
+            discrete_geometry(range(5)),
+            ideal_geometry(vee),
+            planar_point_geometry([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2), (4, 4)]),
+            # the empty set is not closed, so the sweep starts from a nonempty hull
+            ConvexGeometry(ClosureSystem("ab", [frozenset("a"), frozenset("ab")])),
+        ]
+        geometries += [random_geometry(rng, 8) for _ in range(20)]
+        for cg in geometries:
+            assert count_free_signed(cg) == _brute_signed_hull_sum(cg), cg
 
     def test_euler_interval(self):
         assert euler_characteristic_free(interval_geometry(3)) == 1

@@ -99,6 +99,28 @@ class TestCycles:
 
 
 class TestChromatic:
+    def test_full_route_refuses_more_than_20_edges_before_folding(self, monkeypatch):
+        from brokencircuits import graphs
+
+        def fold(*args):
+            raise AssertionError("the full route folded past its edge cap")
+
+        monkeypatch.setattr(graphs, "_component_histogram", fold)
+        k7 = Graph.complete(7)
+        assert len(k7.edges) == 21
+        with pytest.raises(CapExceeded, match=r"2\^21 edge subsets needs \|E\| <= 20"):
+            chromatic_polynomial(k7, "full")
+
+    def test_full_route_accepts_20_edges(self, monkeypatch):
+        from brokencircuits import graphs
+
+        folds = []
+        monkeypatch.setattr(graphs, "_component_histogram", lambda n, edges: folds.append(edges) or {7: 1})
+        k7 = Graph.complete(7)
+        g = Graph(k7.vertices, k7.edges[:20])
+        assert chromatic_polynomial(g, "full") == poly(0, 0, 0, 0, 0, 0, 0, 1)
+        assert len(folds) == 1 and len(folds[0]) == 20
+
     def test_k3(self):
         # brute force the defining sum first
         k3 = Graph.complete(3)

@@ -43,6 +43,30 @@ class TestHypergraphBasics:
 
 
 class TestChromatic:
+    def test_full_route_refuses_more_than_20_edges_before_folding(self, monkeypatch):
+        from brokencircuits import hypergraphs
+
+        def fold(*args):
+            raise AssertionError("the full route folded past its edge cap")
+
+        monkeypatch.setattr(hypergraphs, "_component_histogram", fold)
+        hg = Hypergraph(range(22), [frozenset({i, i + 1}) for i in range(21)])
+        with pytest.raises(CapExceeded, match=r"2\^21 edge subsets needs \|E\| <= 20"):
+            hypergraph_chromatic(hg, "full")
+        grid, _ = grid_rectangle_hypergraph(4, 4)
+        assert len(grid.edges) == 36
+        with pytest.raises(CapExceeded, match=r"2\^36 edge subsets"):
+            hypergraph_chromatic(grid)
+
+    def test_full_route_accepts_20_edges(self, monkeypatch):
+        from brokencircuits import hypergraphs
+
+        folds = []
+        monkeypatch.setattr(hypergraphs, "_component_histogram", lambda n, edges: folds.append(edges) or {1: 1})
+        hg = Hypergraph(range(21), [frozenset({i, i + 1, 20}) for i in range(20)])
+        assert hypergraph_chromatic(hg, "full") == poly(0, 1)
+        assert len(folds) == 1 and len(folds[0]) == 20
+
     def test_single_triple_edge(self):
         hg = Hypergraph("abc", [frozenset("abc")])
         assert hypergraph_chromatic(hg, "full") == poly(0, -1, 0, 1)

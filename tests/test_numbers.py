@@ -132,6 +132,36 @@ def _prime_set(n):
     return {p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}
 
 
+class TestPastTheSubsetCap:
+    """n = 720720 has d(n) = 240 divisors: the subset routes sweep the gcd
+    and lcm values instead of the 2^238 subsets."""
+
+    def test_values_at_720720(self):
+        assert totient(720720) == 138240
+        assert totient(720720, method="subset_sum") == 138240
+        assert dirichlet_inverse_totient(720720) == 5760
+        assert dirichlet_inverse_totient(720720, method="subset_sum") == 5760
+        assert gcd_expansion(720720, "gcd") == 0
+        assert gcd_expansion(720720, "lcm") == 0
+
+    def test_method_all_runs_the_subset_route(self, monkeypatch):
+        from brokencircuits import numbers
+
+        ran = []
+        for name in ("totient_subset_sum", "inverse_subset_sum"):
+            route = getattr(numbers, name)
+            monkeypatch.setattr(
+                numbers, name, lambda *a, route=route, name=name, **k: ran.append(name) or route(*a, **k)
+            )
+        assert totient(720720, method="all") == 138240
+        assert dirichlet_inverse_totient(720720, method="all") == 5760
+        assert ran == ["totient_subset_sum", "inverse_subset_sum"]
+
+    def test_divisor_complex_keeps_its_cap(self):
+        with pytest.raises(CapExceeded):
+            divisor_complex(720720)
+
+
 class TestDirichletInverse:
     def test_small_values(self):
         assert dirichlet_inverse_totient(6) == 2
@@ -357,6 +387,7 @@ def test_numbers_walks_leave_no_reference_cycles():
         "inverse_subset_sum": lambda: inverse_subset_sum(180, ident),
         "gcd_expansion gcd": lambda: gcd_expansion(180, "gcd"),
         "gcd_expansion lcm": lambda: gcd_expansion(180, "lcm"),
+        "totient_subset_sum 720720": lambda: totient_subset_sum(720720, ident),
         "chain_gcd_inner_sums": lambda: chain_gcd_inner_sums(48),
         "chain_lcm_inner_sums": lambda: chain_lcm_inner_sums(48),
     }
