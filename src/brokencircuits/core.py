@@ -273,6 +273,22 @@ def _prefixes_by_max(n, masks):
     return by_max, end
 
 
+def _avoiding_bound(n, masks):
+    """Upper bound on the subsets of n positions that include no mask.
+
+    Greedily picks pairwise disjoint masks B1..Bk in the given order; the
+    subsets avoiding just those number 2^(n - sum |Bi|) * prod (2^|Bi| - 1),
+    and avoiding more masks leaves no more subsets.
+    """
+    used = 0
+    bound = 1
+    for m in masks:
+        if not m & used:
+            used |= m
+            bound *= (1 << m.bit_count()) - 1
+    return bound << (n - used.bit_count())
+
+
 def iter_avoiding_masks(ground, broken):
     """Yield bitmasks of every subset that includes no broken set.
 
@@ -375,12 +391,17 @@ def _signed_fold(n, start, include, key, broken=()):
     return hist
 
 
-def _image_fold(n, start, include, key):
+def _image_fold(n, start, include, key, settle=None):
     """The nonzero entries of ``_signed_fold(n, start, include, key)``, swept
     level by level over distinct states instead of subsets: position i adds
     each state's signed count, negated, at ``include(i, state)``, and states
     that cancel are dropped.  The work is the sum of the distinct states per
     level, n times a small image (a gcd, lcm, hull or neighbourhood union).
+
+    ``settle(i, state)``, when given, maps every state after position i,
+    both the subsets that take i and those that do not.  It forgets what no
+    later position can read, so states that differ only there become one;
+    ``key`` must not depend on what it forgets.
     """
     level = {start: 1}
     for i in range(n):
@@ -389,6 +410,11 @@ def _image_fold(n, start, include, key):
         for state, count in level.items():
             image = include(i, state)
             nxt[image] = get(image, 0) - count
+        if settle is not None:
+            nxt, unsettled = {}, nxt
+            for state, count in unsettled.items():
+                state = settle(i, state)
+                nxt[state] = nxt.get(state, 0) + count
         level = {state: count for state, count in nxt.items() if count}
     hist = {}
     for state, count in level.items():
@@ -397,28 +423,82 @@ def _image_fold(n, start, include, key):
     return {k: count for k, count in hist.items() if count}
 
 
+def _block_settler(n, last, blank):
+    """``settle`` hook for (statistic, labels) states over vertex blocks.
+
+    ``labels`` holds one character per vertex: the character of the
+    smallest live vertex of its block, or ``blank``.  After position i of
+    the n positions, the vertices v with ``last[v] == i`` are blanked; a
+    vertex that named its block hands the name to the block's smallest
+    remaining vertex, so equal partitions of the live vertices give equal
+    strings.
+    """
+    settled_at = [[] for _ in range(n)]
+    for v, pos in last.items():
+        settled_at[pos].append(v)
+
+    def settle(pos, state):
+        vertices = settled_at[pos]
+        if not vertices:
+            return state
+        stat, labels = state
+        for v in vertices:
+            name = labels[v]
+            if name == blank:
+                continue
+            labels = labels[:v] + blank + labels[v + 1:]
+            if name == chr(v):
+                heir = labels.find(name)
+                if heir >= 0:
+                    labels = labels.replace(name, chr(heir))
+        return stat, labels
+
+    return settle
+
+
 def _component_histogram(n_vertices, edges, broken=()):
     """Signed histogram {c(V, A): sum of (-1)^|A|} over the edge subsets A
     that include none of the ``broken`` edge masks.
 
     ``edges`` lists each edge as a tuple of vertex indices.  The state is
-    the component count plus a string holding each vertex's root as one
-    character, so merging two components is one ``str.replace``.
+    the component count plus a string holding one character per vertex, so
+    merging two components is one ``str.replace``.  With broken masks every
+    avoiding subset is folded, each vertex holding its root.  Without, the
+    sum is swept over frontier partitions: a block is named by its smallest
+    live vertex, and a vertex is settled after its last edge, since it can
+    no longer change the count (Sekine, Imai and Tani, "Computing the Tutte
+    polynomial of a graph of moderate size", ISAAC 1995).  The histogram
+    then holds only nonzero counts.
     """
-
-    def include(pos, state):
-        count, roots = state
-        vs = edges[pos]
-        first = roots[vs[0]]
-        for v in vs:
-            r = roots[v]
-            if r != first:
-                roots = roots.replace(r, first)
-                count -= 1
-        return count, roots
-
     start = (n_vertices, "".join(map(chr, range(n_vertices))))
-    return _signed_fold(len(edges), start, include, itemgetter(0), broken)
+    if broken:
+        def include(pos, state):
+            count, roots = state
+            vs = edges[pos]
+            first = roots[vs[0]]
+            for v in vs:
+                r = roots[v]
+                if r != first:
+                    roots = roots.replace(r, first)
+                    count -= 1
+            return count, roots
+
+        return _signed_fold(len(edges), start, include, itemgetter(0), broken)
+
+    def merge(pos, state):
+        count, labels = state
+        vs = edges[pos]
+        low = min([labels[v] for v in vs])
+        for v in vs:
+            name = labels[v]
+            if name != low:
+                labels = labels.replace(name, low)
+                count -= 1
+        return count, labels
+
+    last = {v: pos for pos, vs in enumerate(edges) for v in vs}
+    settle = _block_settler(len(edges), last, chr(n_vertices))
+    return _image_fold(len(edges), start, merge, itemgetter(0), settle)
 
 
 def avoiding_subsets(ground, broken):

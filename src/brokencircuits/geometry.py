@@ -75,22 +75,36 @@ class ClosureSystem:
         return self.ground.subset_of(self.hull_mask(self.ground.mask_of(subset)))
 
     def free_mask_set(self):
-        """Masks of all free sets (sets whose every subset is closed)."""
+        """Masks of all free sets (sets whose every subset is closed).
+
+        Every subset of a free set is free, so the free sets are grown
+        level by level: F + i, for i above max F, is free when it is closed
+        and F + i - j is free for every j in F.  At most |free| * n
+        candidates are tested.
+        """
+        closed = self._mask_set
+        if 0 not in closed:
+            return set()
         n = len(self.ground)
-        free = set()
-        for mask in range(1 << n):
-            if mask not in self._mask_set:
-                continue
-            m = mask
-            ok = True
-            while m:
-                bit = m & -m
-                if (mask ^ bit) not in free:
-                    ok = False
-                    break
-                m ^= bit
-            if ok:
-                free.add(mask)
+        free = {0}
+        level = [0]
+        while level:
+            grown = []
+            for mask in level:
+                for i in range(mask.bit_length(), n):
+                    bigger = mask | 1 << i
+                    if bigger not in closed:
+                        continue
+                    m = mask
+                    while m:
+                        bit = m & -m
+                        if bigger ^ bit not in free:
+                            break
+                        m ^= bit
+                    else:
+                        grown.append(bigger)
+            free.update(grown)
+            level = grown
         return free
 
     def free_sets(self):

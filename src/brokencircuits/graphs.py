@@ -22,6 +22,7 @@ from .core import (
     CircuitFamily,
     FULL_SUM_FEASIBLE,
     OrderedGroundSet,
+    _block_settler,
     _broken_masks,
     _component_histogram,
     _image_fold,
@@ -177,6 +178,38 @@ class Graph:
 
         return _signed_fold(len(self.vertices), (), include, key, broken)
 
+    def _induced_sweep(self, weight=0):
+        """Signed histogram {weight * |A| + c(G[A]): sum of (-1)^|A|} over all
+        vertex subsets A, with zero counts dropped.
+
+        Swept over frontier partitions (``core._image_fold``): vertex i is
+        decided at position i, and the state is the statistic so far plus
+        one character per vertex, naming the block of G[A] that holds it by
+        its smallest live vertex, or blank when it is outside A.  Including
+        i merges the blocks of its smaller neighbours.  A vertex is settled
+        once it and all its neighbours are decided, as nothing later can
+        join its block through it.
+        """
+        n = len(self.vertices)
+        below = [[j for j in sorted(self._adj[i]) if j < i] for i in range(n)]
+        blank = chr(n)
+
+        def include(i, state):
+            stat, labels = state
+            names = {labels[j] for j in below[i]}
+            names.discard(blank)
+            if not names:
+                return stat + weight + 1, labels[:i] + chr(i) + labels[i + 1:]
+            low = min(names)
+            for name in names:
+                if name != low:
+                    labels = labels.replace(name, low)
+            return stat + weight + 1 - len(names), labels[:i] + low + labels[i + 1:]
+
+        last = {v: max(self._adj[v] | {v}) for v in range(n)}
+        return _image_fold(n, (0, blank * n), include, itemgetter(0),
+                           _block_settler(n, last, blank))
+
     def induced_component_count(self, vertices):
         mask = 0
         for v in vertices:
@@ -310,9 +343,10 @@ def subgraph_component_polynomial(graph):
     n = len(graph.vertices)
     if n > 20:
         raise CapExceeded("subgraph component polynomial needs |V| <= 20")
-    hist = graph._induced_fold(lambda comps: (sum(c.bit_count() for c in comps), len(comps)))
+    # the statistic is (n + 1) |A| + c(G[A]), and c(G[A]) <= n
+    hist = graph._induced_sweep(n + 1)
     # every subset under one key has the same size, so its count is |signed count|
-    return BiPolynomial({key: abs(count) for key, count in hist.items()})
+    return BiPolynomial({divmod(stat, n + 1): abs(count) for stat, count in hist.items()})
 
 
 def vertex_broken_circuits(graph, cap=CYCLE_CAP):
@@ -346,7 +380,7 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
         raise PreconditionError("graph is not cyclically claw-free")
     n = len(graph.vertices)
     if method == "direct":
-        hist = graph._induced_fold(len)
+        hist = graph._induced_sweep()
     else:
         ground = OrderedGroundSet(graph.vertices)
         broken = _broken_masks(ground, _vertex_broken_circuits(graph, ground, cycles))

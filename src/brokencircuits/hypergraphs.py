@@ -18,6 +18,7 @@ from .core import (
     FULL_SUM_FEASIBLE,
     CircuitFamily,
     OrderedGroundSet,
+    _avoiding_bound,
     _broken_masks,
     _component_histogram,
     derive_broken_circuits,
@@ -191,7 +192,12 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
         for b in chosen:
             if b not in derived_set:
                 raise PreconditionError(f"{sorted(b)} is not a broken circuit of the family")
-    hist = _component_histogram(n, hypergraph._edge_vidx, _broken_masks(ground, chosen))
+    masks = _broken_masks(ground, chosen)
+    bound = _avoiding_bound(len(ground), masks)
+    if bound > 1 << FULL_SUM_FEASIBLE:
+        raise CapExceeded(f"up to {bound} of the 2^{len(ground)} edge subsets avoid the broken "
+                          f"circuits; the restricted sum needs at most 2^{FULL_SUM_FEASIBLE}")
+    hist = _component_histogram(n, hypergraph._edge_vidx, masks)
     for c, count in hist.items():
         coeffs[c] = count
     return IntPolynomial(coeffs)

@@ -259,6 +259,12 @@ class TestMoreComputeKinds:
         assert proc.stdout == ""
         assert "2^36 edge subsets" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # the restricted method names its bound on the avoiding subsets
+        proc = cli_process("compute", "hypergraph-chromatic", str(path), "--method", "restricted")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "up to 688747536 of the 2^36 edge subsets" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_number_routes_at_720720(self):
         for kind, value in (("number-totient", "138240"), ("number-dirichlet-inverse", "5760")):

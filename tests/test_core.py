@@ -362,8 +362,10 @@ def test_signed_fold_matches_per_mask_states(n):
     edges = [
         tuple(rng.randrange(n_vertices) for _ in range(rng.randint(1, 3))) for _ in range(n)
     ]
+    # unpruned, the histogram is swept and keeps only nonzero counts
     got = _component_histogram(n_vertices, edges)
-    assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m))
+    brute = _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m))
+    assert got == {c: count for c, count in brute.items() if count}
     broken = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))] if n else []
     got = _component_histogram(n_vertices, edges, broken)
     assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m), broken)
@@ -487,6 +489,130 @@ def test_image_fold_leaves_no_reference_cycles():
         gc.enable()
     brute = _brute_fold(len(ints), lambda m: _over(ints, math.gcd, m))
     assert hist == {g: c for g, c in brute.items() if c}
+
+
+def _component_cases(rng):
+    """(vertex count, edges) draws: edges of 1 to 3 vertices with repeats,
+    vertices that no edge meets, no edges, and no vertices."""
+    cases = [(0, []), (1, []), (4, []), (3, [(1,)]), (3, [(2, 2)]), (2, [(0, 1), (1, 0)])]
+    for _ in range(40):
+        n_vertices = rng.randint(1, 9)
+        edges = [
+            tuple(rng.randrange(n_vertices) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 11))
+        ]
+        cases.append((n_vertices, edges))
+    return cases
+
+
+def test_component_sweep_matches_brute_force():
+    # the settled sweep against components computed per edge subset
+    from brokencircuits.core import _component_histogram
+
+    for n_vertices, edges in _component_cases(random.Random(4000)):
+        brute = _brute_fold(len(edges), lambda m: _brute_components(n_vertices, edges, m))
+        got = _component_histogram(n_vertices, edges)
+        assert got == {c: count for c, count in brute.items() if count}, (n_vertices, edges)
+
+
+def test_sweep_states_name_each_block_by_its_smallest_live_vertex(monkeypatch):
+    # equal frontier partitions must give equal states, or the sweep keeps
+    # duplicates: every block's name is the first vertex that carries it
+    from brokencircuits import core, graphs
+    from brokencircuits.graphs import Graph
+
+    fold = core._image_fold
+    states = []
+
+    def recording(n, start, include, key, settle=None):
+        def step(i, state):
+            states.append(state)
+            return include(i, state)
+
+        return fold(n, start, step, key, settle)
+
+    monkeypatch.setattr(core, "_image_fold", recording)
+    monkeypatch.setattr(graphs, "_image_fold", recording)
+    petersen = Graph(range(10), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
+                                 (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
+
+    def assert_canonical(n_vertices, where):
+        for _, labels in states:
+            names = set(labels) - {chr(n_vertices)}
+            assert all(labels.find(c) == ord(c) for c in names), (where, labels)
+        states.clear()
+
+    for n_vertices, edges in _component_cases(random.Random(4200)) + [(10, petersen._edge_ends)]:
+        core._component_histogram(n_vertices, edges)
+        assert_canonical(n_vertices, edges)
+    rng = random.Random(4201)
+    for g in [petersen, Graph.cycle(9)] + [graphs.random_graph(rng, 9, 0.3) for _ in range(10)]:
+        g._induced_sweep()
+        assert_canonical(len(g.vertices), g.edges)
+
+
+def test_component_sweep_on_complete_graphs_is_the_falling_factorial():
+    from brokencircuits.core import _component_histogram
+    from brokencircuits.graphs import Graph, chromatic_polynomial
+
+    for n in (7, 8):
+        k = Graph.complete(n)
+        coeffs = [0] * (n + 1)
+        for c, count in _component_histogram(n, k._edge_ends).items():
+            coeffs[c] = count
+        falling = IntPolynomial([1])
+        for j in range(n):
+            falling = falling * IntPolynomial([-j, 1])
+        assert IntPolynomial(coeffs) == falling
+        # the full route keeps its cap of 20 edges
+        with pytest.raises(CapExceeded):
+            chromatic_polynomial(k, "full")
+
+
+def test_settled_sweeps_leave_no_reference_cycles():
+    from brokencircuits.core import _component_histogram
+    from brokencircuits.graphs import Graph
+
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3, 4), (4, 5), (5, 0)]
+    petersen = Graph(range(10), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
+                                 (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
+    gc.collect()
+    gc.disable()
+    try:
+        hist = _component_histogram(6, edges)
+        induced = petersen._induced_sweep()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    brute = _brute_fold(len(edges), lambda m: _brute_components(6, edges, m))
+    assert hist == {c: count for c, count in brute.items() if count}
+    assert sum(induced.values()) == 0
+
+
+def test_image_fold_settle_runs_on_both_branches():
+    # an OR state whose low bits are forgotten after position i: the key
+    # reads only bits never forgotten, so the sweep matches the subset fold
+    from brokencircuits.core import _image_fold, _signed_fold
+
+    rng = random.Random(4100)
+    n = 10
+    ors = [rng.getrandbits(8) for _ in range(n)]
+    keep = [0xFF ^ ((1 << (i // 2 + 1)) - 1) for i in range(n)]
+    seen = []
+
+    def settle(i, s):
+        seen.append((i, s))
+        return s & keep[i]
+
+    def include(i, s):
+        return s | ors[i]
+
+    key = lambda s: s & keep[-1]
+    swept = _image_fold(n, 0, include, key, settle)
+    folded = {k: c for k, c in _signed_fold(n, 0, include, key).items() if c}
+    assert swept == folded
+    # position 0 settles the start state and its image
+    assert [s for i, s in seen if i == 0] == [0, ors[0]]
 
 
 def test_chain_subsets_match_recursive_walk():

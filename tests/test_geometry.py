@@ -127,6 +127,38 @@ class TestCounts:
         for cg in geometries:
             assert count_free_signed(cg) == _brute_signed_hull_sum(cg), cg
 
+    def test_free_set_walk_matches_brute_scan(self):
+        # a free set is a closed set whose every subset is closed; the scan
+        # here tests each mask's subsets directly
+        def brute_free(system):
+            n = len(system.ground)
+            closed = {system.ground.mask_of(c) for c in system.closed_sets}
+            free = set()
+            for mask in range(1 << n):
+                sub = mask
+                while sub in closed:
+                    if sub == 0:
+                        free.add(mask)
+                        break
+                    sub = (sub - 1) & mask
+            return free
+
+        rng = random.Random(43)
+        vee = FinitePoset.from_covers("abcd", [("a", "c"), ("b", "c"), ("c", "d")])
+        geometries = [
+            interval_geometry(1),
+            interval_geometry(12),
+            discrete_geometry([]),
+            discrete_geometry(range(7)),
+            ideal_geometry(vee),
+            planar_point_geometry([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2), (4, 4)]),
+            ConvexGeometry(ClosureSystem("ab", [frozenset("a"), frozenset("ab")])),
+        ]
+        geometries += [random_geometry(rng, 8) for _ in range(30)]
+        for cg in geometries:
+            assert cg.free_mask_set() == brute_free(cg.system), cg
+        assert len(interval_geometry(20).free_mask_set()) == 40
+
     def test_euler_interval(self):
         assert euler_characteristic_free(interval_geometry(3)) == 1
 

@@ -265,7 +265,7 @@ class TestSubgraphComponents:
 
     def test_direct_accepts_20_vertices(self, monkeypatch):
         folds = []
-        monkeypatch.setattr(Graph, "_induced_fold", lambda self, key: folds.append(key) or {0: 1})
+        monkeypatch.setattr(Graph, "_induced_sweep", lambda self: folds.append(self) or {0: 1})
         assert q_at_minus_one(Graph(range(20), []), "direct") == poly(1)
         assert len(folds) == 1
 
@@ -398,6 +398,80 @@ class TestFoldedFullRoutes:
                         alternating[i] += (-1) ** r * comb(j, i)
             assert domination_polynomial(g, "direct") == IntPolynomial(direct), g.edges
             assert domination_polynomial(g, "alternating") == IntPolynomial(alternating), g.edges
+
+
+PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
+                  (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
+
+
+def grid_graph(rows, cols):
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            if j + 1 < cols:
+                edges.append((i * cols + j, i * cols + j + 1))
+            if i + 1 < rows:
+                edges.append((i * cols + j, (i + 1) * cols + j))
+    return Graph(range(rows * cols), edges)
+
+
+class TestSettledSweeps:
+    """The full component sums are swept over frontier partitions; the
+    references are the subset folds and networkx."""
+
+    def test_induced_sweep_matches_fold_and_networkx(self):
+        rng = random.Random(51)
+        graphs = [Graph([], []), Graph([0], []), Graph(range(3), []), Graph.cycle(12),
+                  Graph.complete(6), Graph(range(10), PETERSEN_EDGES)]
+        while len(graphs) < 24:
+            graphs.append(random_graph(rng, rng.randint(1, 12), rng.choice((0.15, 0.3, 0.6))))
+        for k, g in enumerate(graphs):
+            n = len(g.vertices)
+            folded = g._induced_fold(len)
+            assert g._induced_sweep() == {c: count for c, count in folded.items() if count}, g.edges
+            sized = g._induced_fold(lambda comps: (n + 1) * sum(c.bit_count() for c in comps) + len(comps))
+            assert g._induced_sweep(n + 1) == sized, g.edges
+            if k % 4 == 0:
+                nxg = nx.Graph()
+                nxg.add_nodes_from(g.vertices)
+                nxg.add_edges_from(g.edges)
+                ref = {}
+                for r in range(n + 1):
+                    for subset in itertools.combinations(g.vertices, r):
+                        c = nx.number_connected_components(nxg.subgraph(subset))
+                        ref[c] = ref.get(c, 0) + (-1) ** r
+                assert g._induced_sweep() == {c: count for c, count in ref.items() if count}, g.edges
+
+    @staticmethod
+    def include_calls(monkeypatch, module, run):
+        fold = module._image_fold
+        calls = []
+
+        def counted(n, start, include, key, settle=None):
+            def step(i, state):
+                calls.append(i)
+                return include(i, state)
+
+            return fold(n, start, step, key, settle)
+
+        monkeypatch.setattr(module, "_image_fold", counted)
+        run()
+        return len(calls)
+
+    def test_include_counts(self, monkeypatch):
+        # deterministic work pins: the subset folds make 2^|E| - 1 calls
+        from brokencircuits import core, graphs
+
+        grid = grid_graph(3, 4)
+        petersen = Graph(range(10), PETERSEN_EDGES)
+        calls = self.include_calls(monkeypatch, core, lambda: chromatic_polynomial(grid, "full"))
+        assert calls <= 1000 < (1 << 17) - 1
+        calls = self.include_calls(monkeypatch, core, lambda: chromatic_polynomial(petersen, "full"))
+        assert calls <= 1000 < (1 << 15) - 1
+        c16 = Graph.cycle(16)
+        calls = self.include_calls(monkeypatch, graphs, lambda: q_at_minus_one(c16, "direct"))
+        assert calls <= 400 < (1 << 16) - 1
+        assert q_at_minus_one(c16, "direct") == q_at_minus_one(c16, "restricted")
 
 
 class TestDegree1Upset:

@@ -343,6 +343,49 @@ def test_restricted_route_with_chosen_broken_circuits():
             assert got == IntPolynomial(coeffs) == full, (rows, cols, chosen)
 
 
+def test_restricted_route_refuses_a_large_bound_before_folding(monkeypatch):
+    # pairwise disjoint broken circuits B1..Bk bound the avoiding subsets by
+    # 2^(m - sum |Bi|) prod (2^|Bi| - 1); past 2^20 the route refuses
+    from brokencircuits import hypergraphs
+
+    def fold(*args):
+        raise AssertionError("the restricted route folded past its bound")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hypergraphs, "_component_histogram", fold)
+        for rows, cols, bound in ((4, 4, 688_747_536), (3, 5, 25_509_168)):
+            hg, family = grid_rectangle_hypergraph(rows, cols)
+            with pytest.raises(CapExceeded, match=rf"up to {bound} of the 2\^{len(hg.edges)}"):
+                hypergraph_chromatic(hg, "restricted", family)
+        # no broken circuit chosen: every one of the 2^21 subsets avoids them
+        path = Hypergraph(range(22), [frozenset({i, i + 1}) for i in range(21)])
+        with pytest.raises(CapExceeded, match=r"up to 2097152 of the 2\^21"):
+            hypergraph_chromatic(path, "restricted", CircuitFamily([]))
+    # the 3x4 grid's bound, 2^2 * 3^8 = 26,244, is accepted
+    hg, family = grid_rectangle_hypergraph(3, 4)
+    assert hypergraph_chromatic(hg, "restricted", family) == hypergraph_chromatic(hg, "full")
+
+
+def test_avoiding_bound_bounds_the_avoiding_subsets():
+    from brokencircuits.core import _avoiding_bound
+
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(0, 10)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+        avoiding = sum(1 for a in range(1 << n) if not any(a & b == b for b in masks))
+        bound = _avoiding_bound(n, masks)
+        assert avoiding <= bound <= 1 << n, (n, masks)
+        # pairwise disjoint nonempty masks: the bound is exact
+        disjoint, used = [], 0
+        for b in masks:
+            if b and not b & used:
+                disjoint.append(b)
+                used |= b
+        exact = sum(1 for a in range(1 << n) if not any(a & b == b for b in disjoint))
+        assert _avoiding_bound(n, disjoint) == exact, (n, disjoint)
+
+
 def test_family_checks_leave_no_reference_cycles():
     import gc
 
