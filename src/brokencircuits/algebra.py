@@ -13,6 +13,8 @@ threads.
 
 from __future__ import annotations
 
+from itertools import islice, zip_longest
+
 from .errors import SchemaError
 
 
@@ -21,6 +23,14 @@ def _strip(coeffs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def _coeffs_of(value):
+    if isinstance(value, IntPolynomial):
+        return value.coeffs
+    if isinstance(value, int):
+        return (value,)
+    raise TypeError(f"cannot add {type(value).__name__} to IntPolynomial")
 
 
 class IntPolynomial:
@@ -92,6 +102,17 @@ class IntPolynomial:
 
     def __neg__(self):
         return IntPolynomial(tuple(-c for c in self.coeffs))
+
+    @classmethod
+    def sum_of(cls, values):
+        """Sum of polynomials and ints (constants), adding coefficient columns
+        in C 256 values at a time: zip_longest slows down over many more.
+        Other values raise TypeError, as ``IntPolynomial + Fraction`` does."""
+        total = ()
+        values = iter(values)
+        while block := list(islice(values, 256)):
+            total = tuple(map(sum, zip_longest(total, *map(_coeffs_of, block), fillvalue=0)))
+        return cls(total)
 
     def __sub__(self, other):
         if isinstance(other, int):

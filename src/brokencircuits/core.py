@@ -506,22 +506,25 @@ def avoiding_subsets(ground, broken):
     return [ground.subset_of(m) for m in iter_avoiding_masks(ground, broken)]
 
 
+def _group_sum(values, zero):
+    """``zero`` plus the sum of ``values``, meant for exact values: a type with
+    a ``sum_of`` classmethod adds them itself, else the builtin ``sum`` adds
+    (in C for ints; it would compensate floats from Python 3.12 on).
+    """
+    sum_of = getattr(type(zero), "sum_of", None)
+    if sum_of is not None:
+        return zero + sum_of(values)
+    return sum(values, zero)
+
+
 def sum_full(f, ground):
     """Exact sum of f over all 2^n subsets (the unrestricted side)."""
-    fm = f.mask_function(ground)
-    total = f.zero
-    for mask in range(1 << len(ground)):
-        total = total + fm(mask)
-    return total
+    return _group_sum(map(f.mask_function(ground), range(1 << len(ground))), f.zero)
 
 
 def sum_pruned(f, ground, broken):
-    """Sum of f over the subsets that include no broken set."""
-    fm = f.mask_function(ground)
-    total = f.zero
-    for mask in iter_avoiding_masks(ground, broken):
-        total = total + fm(mask)
-    return total
+    """Sum of f over the subsets that include no broken set, each evaluated once."""
+    return _group_sum(map(f.mask_function(ground), iter_avoiding_masks(ground, broken)), f.zero)
 
 
 def enumerate_avoiding(ground, broken):
@@ -752,10 +755,8 @@ def sum_over_maxima(f, poset, check=True):
     ext = poset.linear_extension()
     ground = OrderedGroundSet(ext)
     maxima = [e for e in ext if e in set(poset.maximal_elements())]
-    restricted = f.zero
-    for r in range(len(maxima) + 1):
-        for combo in itertools.combinations(maxima, r):
-            restricted = restricted + f(frozenset(combo))
+    subsets = (frozenset(c) for r in range(len(maxima) + 1) for c in itertools.combinations(maxima, r))
+    restricted = _group_sum(map(f, subsets), f.zero)
     report = None
     if check and len(ext) <= CANCELLATION_CAP:
         pairs = [
@@ -802,10 +803,7 @@ def sum_over_chains(f, poset, check=True):
                     "cancellation fails across the join of "
                     f"{sorted(map(repr, report.circuit))} at {sorted(map(repr, report.superset))}"
                 )
-    total = f.zero
-    for chain in poset.chain_subsets():
-        total = total + f(chain)
-    return total
+    return _group_sum(map(f, poset.chain_subsets()), f.zero)
 
 
 def maxmin_identity(values, k):
@@ -929,9 +927,7 @@ def narushima_union(poset, family):
                     f"intersection not contained in the set of {j!r}"
                 )
     f = _intersection_size_function(family)
-    total = f.zero
-    for chain in poset.chain_subsets():
-        total = total + f(chain)
+    total = _group_sum(map(f, poset.chain_subsets()), f.zero)
     direct = len(family.union_all())
     if total != direct:
         raise RuntimeError(

@@ -20,9 +20,12 @@ import itertools
 
 from .core import (
     OrderedGroundSet,
+    _bits,
+    _group_sum,
     _image_fold,
     derive_broken_circuits,
     iter_avoiding_masks,
+    sum_full,
 )
 from .errors import CapExceeded, PreconditionError, SchemaError
 
@@ -182,26 +185,16 @@ def reduce_to_free_sets(f, geometry):
     for cm in system._masks:
         if cm in free:
             continue
-        basis = geometry._basis[cm]
-        diff = cm ^ basis
-        acc = zero
-        sub = diff
-        while True:
-            acc = acc + fm(basis | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & diff
-        if acc != zero:
+        interval = [geometry._basis[cm]]
+        for i in _bits(cm ^ interval[0]):
+            interval += [m | 1 << i for m in interval]
+        if _group_sum(map(fm, interval), zero) != zero:
             raise PreconditionError(
                 "interval sum does not vanish on the closed set "
                 f"{sorted(map(repr, ground.subset_of(cm)))}"
             )
-    full = zero
-    for mask in range(1 << len(ground)):
-        full = full + fm(mask)
-    free_sum = zero
-    for mask in sorted(free):
-        free_sum = free_sum + fm(mask)
+    full = sum_full(f, ground)
+    free_sum = _group_sum(map(fm, sorted(free)), zero)
     if full != free_sum:
         raise RuntimeError("free-set reduction mismatch after validation")
     return full, free_sum
@@ -233,10 +226,7 @@ def euler_characteristic_free(geometry):
         raise PreconditionError("ground set is empty")
     if not geometry.is_closed(frozenset()):
         raise PreconditionError("the empty set is not closed")
-    total = 0
-    for mask in geometry.free_mask_set():
-        if mask:
-            total += -1 if (mask.bit_count() - 1) & 1 else 1
+    total = sum(1 if mask.bit_count() & 1 else -1 for mask in geometry.free_mask_set() if mask)
     if total != 1:
         raise RuntimeError(f"free-complex Euler characteristic is {total}, not 1")
     return total

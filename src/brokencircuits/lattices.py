@@ -174,19 +174,15 @@ class FiniteLattice:
         )
 
     def maximal_chains(self):
-        """All maximal chains from bottom to top, following covers."""
+        """All maximal chains from bottom to top, following covers in index order."""
         chains = []
-
-        def walk(i, acc):
-            if i == self._top:
-                chains.append(tuple(self.elements[j] for j in acc))
-                return
-            for j in sorted(self._covers_up[i]):
-                acc.append(j)
-                walk(j, acc)
-                acc.pop()
-
-        walk(self._bottom, [self._bottom])
+        stack = [(self._bottom,)]
+        while stack:
+            path = stack.pop()
+            if path[-1] == self._top:
+                chains.append(tuple(self.elements[j] for j in path))
+            else:
+                stack += [path + (j,) for j in sorted(self._covers_up[path[-1]], reverse=True)]
         return chains
 
     def linear_extension(self):
@@ -452,20 +448,15 @@ def all_crosscuts(lattice):
                           f"{CROSSCUT_CAP} middle elements")
     chains = [set(c) for c in lattice.maximal_chains()]
     found = []
-
-    def walk(idx, acc):
-        if idx == len(middle):
-            if acc and all(any(e in chain for e in acc) for chain in chains):
-                found.append(tuple(acc))
-            return
-        walk(idx + 1, acc)
-        e = middle[idx]
-        if all(not lattice.le(e, o) and not lattice.le(o, e) for o in acc):
-            acc.append(e)
-            walk(idx + 1, acc)
-            acc.pop()
-
-    walk(0, [])
+    # antichains of middle elements, exclusion first; inclusions wait on the stack
+    stack = [(0, ())]
+    while stack:
+        idx, acc = stack.pop()
+        for j, e in enumerate(middle[idx:], idx):
+            if all(not lattice.le(e, o) and not lattice.le(o, e) for o in acc):
+                stack.append((j + 1, acc + (e,)))
+        if acc and all(any(e in chain for e in acc) for chain in chains):
+            found.append(acc)
     return found
 
 

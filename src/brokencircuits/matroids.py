@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import IntPolynomial
-from .core import CircuitFamily, OrderedGroundSet, _broken_masks, _signed_fold, derive_broken_circuits
+from .core import CircuitFamily, OrderedGroundSet, _broken_masks, _image_fold, _signed_fold, derive_broken_circuits
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 AXIOM_CAP = 12
@@ -132,8 +132,8 @@ class Matroid:
         return acc.bit_count()
 
     def _signed_rank_histogram(self):
-        """{r(A): sum of (-1)^|A|} over all subsets A, folding the greedy basis."""
-        return _signed_fold(len(self.elements), 0, self._greedy_step, int.bit_count)
+        """Nonzero {r(A): sum of (-1)^|A|} over all A, swept over distinct greedy bases."""
+        return _image_fold(len(self.elements), 0, self._greedy_step, int.bit_count)
 
     def rank(self, subset):
         """Size of a maximal circuit-free subset, built greedily in ground order."""
@@ -235,12 +235,7 @@ def beta_invariant(matroid, method="full"):
     if method == "full":
         return sign * sum(r * count for r, count in matroid._signed_rank_histogram().items())
     if method == "broken_circuit":
-        counts = broken_circuit_counts(matroid)
-        acc = 0
-        for k, b in enumerate(counts):
-            if k:
-                acc += (-1 if k & 1 else 1) * k * b
-        return sign * acc
+        return sign * sum((-1) ** k * k * b for k, b in enumerate(broken_circuit_counts(matroid)))
     if method == "derivative":
         chi = characteristic_polynomial(matroid, "full")
         return -sign * chi.derivative_at(1)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -126,3 +127,32 @@ def test_bipoly_group_axioms(a, b, c):
 @given(int_polys, int_polys, small_ints)
 def test_mul_is_multiplicative_under_eval(p, q, t):
     assert (p * q).evaluate(t) == p.evaluate(t) * q.evaluate(t)
+
+
+def _plus_fold(values):
+    total = IntPolynomial.zero()
+    for v in values:
+        total = total + v
+    return total
+
+
+@given(st.lists(st.one_of(int_polys, small_ints), max_size=600))
+def test_sum_of_matches_a_plus_fold(values):
+    got = IntPolynomial.sum_of(values)
+    assert type(got) is IntPolynomial
+    assert got.coeffs == _plus_fold(values).coeffs
+
+
+def test_sum_of_block_edges_and_cancellation():
+    for size in (0, 255, 256, 257, 513):
+        values = [IntPolynomial([i, -i, i * i]) for i in range(size)]
+        assert IntPolynomial.sum_of(values).coeffs == _plus_fold(values).coeffs
+        zero = IntPolynomial.sum_of(values + [-v for v in values])
+        assert zero.coeffs == () and hash(zero) == hash(0)
+
+
+def test_sum_of_refuses_other_types():
+    with pytest.raises(TypeError):
+        IntPolynomial.sum_of([IntPolynomial.x(), Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        IntPolynomial.sum_of([BiPolynomial.constant(1)])

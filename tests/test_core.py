@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,81 @@ class TestTheoremReduction:
         f = SetFunction(lambda s: 1, 0, "one")
         assert sum_full(f, g) == 8
         assert sum_pruned(f, g, [{0}]) == 4
+
+
+def _plus_fold(values, zero):
+    # the reference: one + per value, in order
+    total = zero
+    for v in values:
+        total = total + v
+    return total
+
+
+def _group_sum_cases():
+    rng = random.Random(91)
+
+    def poly():
+        return IntPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
+
+    cases = [([], 0), ([], IntPolynomial.zero()), ([], Fraction(0)), ([3, -4, 10**30], 0)]
+    # block edges of IntPolynomial.sum_of: 256 values per block
+    for size in (1, 255, 256, 257, 513):
+        cases.append(([rng.randint(-9, 9) for _ in range(size)], 0))
+        cases.append(([poly() for _ in range(size)], IntPolynomial.zero()))
+        mixed = [poly() if rng.random() < 0.5 else rng.randint(-9, 9) for _ in range(size)]
+        cases.append((mixed, IntPolynomial.zero()))
+        cases.append((mixed, 0))
+        cases.append(([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)], 0))
+    return cases
+
+
+def test_group_sum_matches_a_plus_fold():
+    from brokencircuits.core import _group_sum
+
+    for values, zero in _group_sum_cases():
+        got = _group_sum(iter(values), zero)
+        want = _plus_fold(values, zero)
+        assert got == want and type(got) is type(want), (len(values), zero)
+        if isinstance(want, IntPolynomial):
+            assert got.coeffs == want.coeffs
+
+
+def test_group_sum_cancelling_to_the_zero_polynomial():
+    from brokencircuits.core import _group_sum
+
+    rng = random.Random(92)
+    for size in (1, 255, 256, 257, 513):
+        values = [IntPolynomial([rng.randint(-5, 5) for _ in range(4)]) for _ in range(size)]
+        values += [-v for v in reversed(values)] + [3, -3]
+        got = _group_sum(values, IntPolynomial.zero())
+        assert got.coeffs == ()
+        assert got == 0 and hash(got) == hash(0)
+
+
+def test_group_sum_refuses_a_fraction_in_a_polynomial_sum():
+    from brokencircuits.core import _group_sum
+
+    with pytest.raises(TypeError):
+        _plus_fold([IntPolynomial.x(), Fraction(1, 2)], IntPolynomial.zero())
+    with pytest.raises(TypeError):
+        _group_sum([IntPolynomial.x(), Fraction(1, 2)], IntPolynomial.zero())
+
+
+def test_sums_over_polynomial_tables_match_the_per_mask_loop():
+    rng = random.Random(93)
+    for n in range(2, 13):
+        ground, family, f = random_cancelling_instance(rng, n, "poly")
+        broken = [bc.subset for bc in derive_broken_circuits(family, ground)]
+        full = IntPolynomial.zero()
+        pruned = IntPolynomial.zero()
+        for mask in range(1 << n):
+            value = f(ground.subset_of(mask))
+            full = full + value
+            if not any(ground.mask_of(b) & mask == ground.mask_of(b) for b in broken):
+                pruned = pruned + value
+        assert sum_full(f, ground).coeffs == full.coeffs
+        assert sum_pruned(f, ground, broken).coeffs == pruned.coeffs
+        assert pruned == full
 
 
 def _recursive_avoiding(n, broken_masks):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -291,3 +292,42 @@ class TestCrosscutType:
         cc = Crosscut(b3, (a, b, c), [(c, a)])
         ext = cc.linear_extension()
         assert ext.index(c) < ext.index(a)
+
+
+# the order of the walks, as the recursive walks produced it
+B3_CHAINS = [(0, 1, 3, 7), (0, 1, 5, 7), (0, 2, 3, 7), (0, 2, 6, 7), (0, 4, 5, 7), (0, 4, 6, 7)]
+PI4_CHAIN_MIDDLES = [
+    "12|3|4 123|4", "12|3|4 124|3", "12|3|4 12|34", "13|2|4 123|4", "13|2|4 134|2", "13|2|4 13|24",
+    "14|2|3 124|3", "14|2|3 134|2", "14|2|3 14|23", "1|23|4 123|4", "1|23|4 14|23", "1|23|4 1|234",
+    "1|24|3 124|3", "1|24|3 13|24", "1|24|3 1|234", "1|2|34 12|34", "1|2|34 134|2", "1|2|34 1|234",
+]
+
+
+def test_walk_order_is_pinned():
+    b3 = boolean_lattice(3)
+    assert b3.maximal_chains() == B3_CHAINS
+    assert all_crosscuts(b3) == [(3, 5, 6), (1, 2, 4)]
+    pi4 = partition_lattice(4)
+    chains = pi4.maximal_chains()
+    assert {(c[0], c[3]) for c in chains} == {("1|2|3|4", "1234")}
+    assert [" ".join(c[1:3]) for c in chains] == PI4_CHAIN_MIDDLES
+    assert all_crosscuts(pi4) == [
+        ("123|4", "124|3", "12|34", "134|2", "13|24", "14|23", "1|234"),
+        ("12|3|4", "13|2|4", "14|2|3", "1|23|4", "1|24|3", "1|2|34"),
+    ]
+    assert FiniteLattice([0], []).maximal_chains() == [(0,)]
+    assert FiniteLattice("ab", [("a", "b")]).maximal_chains() == [("a", "b")]
+
+
+def test_walks_leave_no_reference_cycles():
+    lattices = [boolean_lattice(3), partition_lattice(4), divisor_lattice(60)]
+    gc.collect()
+    gc.disable()
+    try:
+        for lattice in lattices:
+            lattice.maximal_chains()
+            assert gc.collect() == 0
+            all_crosscuts(lattice)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -3,8 +3,11 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brokencircuits.algebra import IntPolynomial
+from brokencircuits.core import _signed_fold
 from brokencircuits.errors import PreconditionError
 from brokencircuits.graphs import Graph, random_graph
 from brokencircuits.matroids import (
@@ -349,3 +352,44 @@ def test_uniform_5_12_is_validated():
         coeffs[r - k] = (-1) ** k * comb(n, k)
     coeffs[0] = (-1) ** r * comb(n - 1, r - 1)
     assert characteristic_polynomial(m, "broken_circuit") == IntPolynomial(coeffs)
+
+
+PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
+                  (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
+
+
+def _assert_sweep_matches_fold(m):
+    # the swept rank histogram against the subset fold of the same greedy
+    # step; the sweep drops zero counts
+    fold = _signed_fold(len(m.elements), 0, m._greedy_step, int.bit_count)
+    assert m._signed_rank_histogram() == {r: c for r, c in fold.items() if c}, m
+    assert characteristic_polynomial(m, "full") == characteristic_polynomial(m, "broken_circuit"), m
+    assert beta_invariant(m, "full") == beta_invariant(m, "broken_circuit"), m
+
+
+def test_rank_sweep_matches_the_subset_fold():
+    for m in (Matroid.graphic(Graph(range(10), PETERSEN_EDGES)), Matroid.uniform(4, 10), Matroid([], [])):
+        _assert_sweep_matches_fold(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: e[0] != e[1]),
+                max_size=12, unique_by=frozenset))
+def test_rank_sweep_matches_the_subset_fold_on_graphic_matroids(edges):
+    _assert_sweep_matches_fold(Matroid.graphic(Graph(range(7), edges)))
+
+
+def test_rank_sweep_steps_once_per_distinct_basis():
+    # 2^n - 1 greedy steps for the subset fold; the sweep steps once per
+    # distinct basis and level
+    for m, steps in ((Matroid.graphic(Graph(range(10), PETERSEN_EDGES)), 22_501), (Matroid.uniform(4, 10), 511)):
+        calls = []
+        step = m._greedy_step
+
+        def counted(i, acc, step=step):
+            calls.append(i)
+            return step(i, acc)
+
+        m._greedy_step = counted
+        m._signed_rank_histogram()
+        assert len(calls) == steps
