@@ -343,7 +343,6 @@ def build_parser():
     pc.add_argument("--circuits")
     pc.add_argument("--variant")
     pc.add_argument("--n", type=int)
-    pc.add_argument("--m", type=int)
     pc.add_argument("--s", type=float)
     pc.add_argument("--prime-bound", dest="prime_bound", type=int)
     pc.add_argument("--h")

@@ -501,6 +501,28 @@ def _component_histogram(n_vertices, edges, broken=()):
     return _image_fold(len(edges), start, merge, itemgetter(0), settle)
 
 
+def _component_count(n_vertices, edges):
+    """Connected components of n_vertices vertices once each edge, a tuple
+    of vertex indices, glues its vertices together (union-find)."""
+    parent = list(range(n_vertices))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    count = n_vertices
+    for vs in edges:
+        first = find(vs[0])
+        for w in vs[1:]:
+            rw = find(w)
+            if rw != first:
+                parent[rw] = first
+                count -= 1
+    return count
+
+
 def avoiding_subsets(ground, broken):
     """The broken-set-avoiding subsets as frozensets."""
     return [ground.subset_of(m) for m in iter_avoiding_masks(ground, broken)]
@@ -581,24 +603,12 @@ def verify_cancellation(f, family, ground, cap=CANCELLATION_CAP):
 class FinitePoset:
     """Finite partially ordered set, validated on construction."""
 
+    _kind = "poset"
+
     def __init__(self, elements, relation):
-        elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise SchemaError("poset elements must be pairwise distinct")
-        self.elements = tuple(elements)
-        self._idx = {e: i for i, e in enumerate(elements)}
+        self._build(elements, relation, close=False)
+        elements, leq = self.elements, self._leq
         n = len(elements)
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
-        for a, b in relation:
-            leq[self._index(a)][self._index(b)] = True
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j] and leq[j][i] and i != j:
-                    raise PreconditionError(
-                        f"relation is not antisymmetric: {elements[i]!r}, {elements[j]!r}"
-                    )
         for i in range(n):
             for j in range(n):
                 if not leq[i][j]:
@@ -611,36 +621,49 @@ class FinitePoset:
                             "relation is not transitive: "
                             f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
                         )
-        self._leq = leq
 
     @classmethod
     def from_covers(cls, elements, covers):
         """Build from cover pairs; the order is the reflexive-transitive closure."""
+        poset = cls.__new__(cls)
+        poset._build(elements, covers, close=True)
+        return poset
+
+    def _build(self, elements, pairs, close):
+        """Index the elements, set the pairs, close them under transitivity
+        if ``close``, and check antisymmetry."""
         elements = tuple(elements)
-        idx = {e: i for i, e in enumerate(elements)}
+        if len(set(elements)) != len(elements):
+            raise SchemaError(f"{self._kind} elements must be pairwise distinct")
+        self.elements = elements
+        self._idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         leq = [[False] * n for _ in range(n)]
         for i in range(n):
             leq[i][i] = True
-        for a, b in covers:
-            leq[idx[a]][idx[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    row_i, row_k = leq[i], leq[k]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        pairs = [
-            (elements[i], elements[j]) for i in range(n) for j in range(n) if leq[i][j]
-        ]
-        return cls(elements, pairs)
+        for a, b in pairs:
+            leq[self._index(a)][self._index(b)] = True
+        if close:
+            for k in range(n):
+                for i in range(n):
+                    if leq[i][k]:
+                        row_i, row_k = leq[i], leq[k]
+                        for j in range(n):
+                            if row_k[j]:
+                                row_i[j] = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if leq[i][j] and leq[j][i]:
+                    raise PreconditionError(
+                        f"the order has a cycle through {elements[i]!r} and {elements[j]!r}"
+                    )
+        self._leq = leq
 
     def _index(self, element):
         try:
             return self._idx[element]
         except KeyError:
-            raise PreconditionError(f"{element!r} is not a poset element") from None
+            raise PreconditionError(f"{element!r} is not a {self._kind} element") from None
 
     def __len__(self):
         return len(self.elements)

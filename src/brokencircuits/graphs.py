@@ -24,6 +24,7 @@ from .core import (
     OrderedGroundSet,
     _block_settler,
     _broken_masks,
+    _component_count,
     _component_histogram,
     _image_fold,
     _signed_fold,
@@ -112,22 +113,7 @@ class Graph:
 
     def spanning_component_count(self, edge_ids):
         """c(V, A): connected components of the spanning subgraph (V, A)."""
-        parent = list(range(len(self.vertices)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        count = len(self.vertices)
-        for i in edge_ids:
-            a, b = self._edge_ends[i]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                count -= 1
-        return count
+        return _component_count(len(self.vertices), map(self._edge_ends.__getitem__, edge_ids))
 
     def _induced_stats_of_mask(self, vertex_mask):
         """(components, edges) of the subgraph induced by a vertex bitmask.

@@ -20,6 +20,7 @@ from .core import (
     OrderedGroundSet,
     _avoiding_bound,
     _broken_masks,
+    _component_count,
     _component_histogram,
     derive_broken_circuits,
 )
@@ -64,24 +65,7 @@ class Hypergraph:
 
     def spanning_component_count(self, edge_ids):
         """c(V, A): components when the chosen edges glue their vertices together."""
-        parent = list(range(len(self.vertices)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        count = len(self.vertices)
-        for i in edge_ids:
-            vs = self._edge_vidx[i]
-            first = find(vs[0])
-            for w in vs[1:]:
-                rw = find(w)
-                if rw != first:
-                    parent[rw] = first
-                    count -= 1
-        return count
+        return _component_count(len(self.vertices), map(self._edge_vidx.__getitem__, edge_ids))
 
     def _components_of_mask(self, edge_mask):
         ids = []

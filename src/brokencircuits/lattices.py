@@ -9,13 +9,17 @@ the meet and the join of B.  That refinement in fact holds for every
 crosscut, by running the broken-circuit engine in dual form (the ground
 order reversed, so minima play the role of maxima); this module
 implements it that way.
+
+A lattice is a ``core.FinitePoset`` with meet and join tables, and a
+crosscut keeps its auxiliary order as a ``FinitePoset`` too, so the
+closure, the linear extension and the comparisons are the poset's own.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import CircuitFamily, OrderedGroundSet, SetFunction, _Record
+from .core import CircuitFamily, FinitePoset, OrderedGroundSet, SetFunction, _Record
 from .core import derive_broken_circuits, sum_pruned
 from .errors import CapExceeded, PreconditionError, SchemaError
 
@@ -24,7 +28,7 @@ PARTITION_CAP = 5
 DIVISOR_COUNT_CAP = 64
 
 
-class FiniteLattice:
+class FiniteLattice(FinitePoset):
     """Finite lattice built from cover relations.
 
     The order is the reflexive-transitive closure of the covers.  A unique
@@ -32,45 +36,23 @@ class FiniteLattice:
     join; otherwise construction fails with a witness pair.
     """
 
+    _kind = "lattice"
+
     def __init__(self, elements, covers):
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise SchemaError("lattice elements must be pairwise distinct")
         if not elements:
             raise SchemaError("lattice must be nonempty")
-        self.elements = elements
-        self._idx = {e: i for i, e in enumerate(elements)}
+        self._build(elements, covers, close=True)
+        leq = self._leq
         n = len(elements)
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
-        cover_up = [set() for _ in range(n)]
-        for a, b in covers:
-            ia, ib = self._index(a), self._index(b)
-            leq[ia][ib] = True
-            cover_up[ia].add(ib)
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    row_i, row_k = leq[i], leq[k]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise PreconditionError(
-                        f"cover relation has a cycle through {elements[i]!r} and {elements[j]!r}"
-                    )
-        self._leq = leq
-        bottoms = [i for i in range(n) if all(not leq[j][i] or j == i for j in range(n))]
-        tops = [i for i in range(n) if all(not leq[i][j] or j == i for j in range(n))]
+        bottoms = self.minimal_elements()
+        tops = self.maximal_elements()
         if len(bottoms) != 1:
             raise PreconditionError("lattice must have a unique minimum")
         if len(tops) != 1:
             raise PreconditionError("lattice must have a unique maximum")
-        self._bottom = bottoms[0]
-        self._top = tops[0]
+        self._bottom = self._idx[bottoms[0]]
+        self._top = self._idx[tops[0]]
         self._meet = [[None] * n for _ in range(n)]
         self._join = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -97,11 +79,10 @@ class FiniteLattice:
                     ):
                         self._covers_up[i].add(j)
 
-    def _index(self, element):
-        try:
-            return self._idx[element]
-        except KeyError:
-            raise PreconditionError(f"{element!r} is not a lattice element") from None
+    @classmethod
+    def from_covers(cls, elements, covers):
+        """The lattice constructor already takes covers."""
+        return cls(elements, covers)
 
     def _bound(self, i, j, lower):
         n = len(self.elements)
@@ -118,9 +99,6 @@ class FiniteLattice:
                     return k
         return None
 
-    def __len__(self):
-        return len(self.elements)
-
     def __repr__(self):
         return f"FiniteLattice({len(self.elements)} elements)"
 
@@ -131,12 +109,6 @@ class FiniteLattice:
     @property
     def top(self):
         return self.elements[self._top]
-
-    def le(self, a, b):
-        return self._leq[self._index(a)][self._index(b)]
-
-    def lt(self, a, b):
-        return a != b and self.le(a, b)
 
     def meet(self, a, b):
         return self.elements[self._meet[self._index(a)][self._index(b)]]
@@ -184,20 +156,6 @@ class FiniteLattice:
             else:
                 stack += [path + (j,) for j in sorted(self._covers_up[path[-1]], reverse=True)]
         return chains
-
-    def linear_extension(self):
-        n = len(self.elements)
-        placed = [False] * n
-        out = []
-        for _ in range(n):
-            for i in range(n):
-                if placed[i]:
-                    continue
-                if all(placed[j] or j == i for j in range(n) if self._leq[j][i]):
-                    placed[i] = True
-                    out.append(self.elements[i])
-                    break
-        return tuple(out)
 
 
 def mobius_function(lattice):
@@ -252,49 +210,16 @@ class Crosscut:
         if len(elements) > CROSSCUT_CAP:
             raise CapExceeded(f"crosscut has more than {CROSSCUT_CAP} elements")
         self.elements = elements
-        idx = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        rel = [[False] * n for _ in range(n)]
-        for i in range(n):
-            rel[i][i] = True
+        precedence = tuple(precedence)
+        members = set(elements)
         for a, b in precedence:
-            if a not in idx or b not in idx:
+            if a not in members or b not in members:
                 raise SchemaError(f"precedence pair {(a, b)!r} leaves the crosscut")
-            rel[idx[a]][idx[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rel[i][j] and rel[j][i]:
-                    raise PreconditionError(
-                        f"precedence order has a cycle through {elements[i]!r} and {elements[j]!r}"
-                    )
-        self._rel = rel
-        self._idx = idx
-
-    def precedes(self, a, b):
-        """Strict auxiliary precedence a before b."""
-        return a != b and self._rel[self._idx[a]][self._idx[b]]
-
-    def linear_extension(self):
-        """Lexicographically smallest topological order of the precedence
-        over the crosscut's input order."""
-        n = len(self.elements)
-        placed = [False] * n
-        out = []
-        for _ in range(n):
-            for i in range(n):
-                if placed[i]:
-                    continue
-                if all(placed[j] or j == i for j in range(n) if self._rel[j][i]):
-                    placed[i] = True
-                    out.append(self.elements[i])
-                    break
-        return tuple(out)
+        order = FinitePoset.from_covers(elements, precedence)
+        # strict auxiliary precedence a before b, and the lexicographically
+        # smallest topological order over the crosscut's input order
+        self.precedes = order.lt
+        self.linear_extension = order.linear_extension
 
 
 def _check_atoms_only(lattice, elements, flag):
@@ -360,35 +285,28 @@ def blass_sagan_family(lattice, crosscut, drop_meet_bound=False):
         raise CapExceeded(f"crosscut has more than {CROSSCUT_CAP} elements")
     _check_atoms_only(lattice, elements, drop_meet_bound)
     lin = crosscut.linear_extension()
-    linpos = {e: i for i, e in enumerate(lin)}
+    # each member's possible witnesses, as positions in the linear extension
+    candidates = {
+        b: [j for j, c in enumerate(lin) if crosscut.precedes(c, b)] for b in elements
+    }
     out = []
     for r in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, r):
             meet = lattice.meet_set(combo)
             join = lattice.join_set(combo)
-            witnesses = {}
-            ok = True
+            chosen = {}
             for b in combo:
-                best = None
-                for c in elements:
-                    if not crosscut.precedes(c, b):
-                        continue
-                    if not lattice.lt(c, join):
-                        continue
-                    if not drop_meet_bound and not lattice.lt(meet, c):
-                        continue
-                    if best is None or linpos[c] < linpos[best]:
-                        best = c
-                if best is None:
-                    ok = False
+                # the earliest candidate below the join and, unless dropped, above the meet
+                j = next((j for j in candidates[b] if lattice.lt(lin[j], join)
+                          and (drop_meet_bound or lattice.lt(meet, lin[j]))), None)
+                if j is None:
                     break
-                witnesses[b] = best
-            if ok:
-                added = min(witnesses.values(), key=linpos.__getitem__)
+                chosen[b] = j
+            else:
+                added = lin[min(chosen.values())]
                 subset = frozenset(combo)
-                out.append(
-                    BrokenCrosscutSet(subset, dict(witnesses), added, subset | {added})
-                )
+                witnesses = {b: lin[j] for b, j in chosen.items()}
+                out.append(BrokenCrosscutSet(subset, witnesses, added, subset | {added}))
     return tuple(out)
 
 

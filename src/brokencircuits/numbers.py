@@ -14,7 +14,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .core import _image_fold
+from .core import FinitePoset, _image_fold
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 FACTOR_CAP = 10**6
@@ -499,21 +499,12 @@ def bonferroni_all(complex_):
 
 def _chain_sums(divs, stat):
     """{stat(A): sum of (-1)^{|A|-1}} over the nonempty divisibility chains A
-    of divs, with a zero entry for every element of divs.
-
-    The chains are walked on an explicit stack, each entry holding the next
-    position to try and the chain so far.
-    """
+    of divs, with a zero entry for every element of divs."""
     sums = {d: 0 for d in divs}
-    stack = [(0, ())]
-    while stack:
-        idx, chain = stack.pop()
+    poset = FinitePoset(divs, [(a, b) for a in divs for b in divs if b % a == 0])
+    for chain in poset.chain_subsets():
         if chain:
             sums[stat(chain)] += 1 if len(chain) & 1 else -1
-        for j in range(idx, len(divs)):
-            d = divs[j]
-            if all(x % d == 0 or d % x == 0 for x in chain):
-                stack.append((j + 1, chain + (d,)))
     return sums
 
 

@@ -401,6 +401,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "compute", "nonsense", "--n", "3")
         assert code == 2
 
+    def test_compute_has_no_m_option(self):
+        # --m was parsed and ignored by every compute kind; it is now an
+        # ambiguous prefix of --method and --modified-domain
+        proc = cli_process("compute", "number-totient", "--n", "6", "--m", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "ambiguous option" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        grid = cli_process("generate", "grid", "--m", "2", "--n", "3")
+        assert grid.returncode == 0, grid.stderr
+        assert json.loads(grid.stdout)["kind"] == "hypergraph"
+
     @pytest.mark.parametrize(
         "kind, instance",
         [

@@ -1,9 +1,18 @@
 import gc
+import itertools
 import random
 
 import pytest
 
-from brokencircuits.errors import PreconditionError
+from brokencircuits.core import (
+    FinitePoset,
+    OrderedGroundSet,
+    SetFunction,
+    sum_full,
+    sum_over_chains,
+    sum_over_maxima,
+)
+from brokencircuits.errors import PreconditionError, SchemaError
 from brokencircuits.lattices import (
     Crosscut,
     FiniteLattice,
@@ -331,3 +340,135 @@ def test_walks_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _cover_pairs(lattice):
+    return [(a, b) for a in lattice.elements for b in lattice.elements
+            if lattice.lt(a, b) and not any(lattice.lt(a, c) and lattice.lt(c, b)
+                                            for c in lattice.elements)]
+
+
+class TestOrderSubstrate:
+    """Lattices and crosscut orders are FinitePosets: one closure, one
+    linear extension, one chain walk."""
+
+    CORPUS = [boolean_lattice(3), divisor_lattice(12), partition_lattice(3)]
+
+    def test_lattice_is_a_poset(self):
+        for lat in self.CORPUS:
+            assert isinstance(lat, FinitePoset)
+            poset = FinitePoset.from_covers(lat.elements, _cover_pairs(lat))
+            assert type(poset) is FinitePoset
+            assert poset.linear_extension() == lat.linear_extension()
+            assert set(poset.chain_subsets()) == set(lat.chain_subsets())
+            assert lat.minimal_elements() == (lat.bottom,)
+            assert lat.maximal_elements() == (lat.top,)
+            rebuilt = FiniteLattice.from_covers(lat.elements, _cover_pairs(lat))
+            assert rebuilt.meet_set(lat.elements) == lat.bottom
+
+    def test_chain_sum_accepts_a_lattice(self):
+        # f(S) = (-1)^|S| w(join S) cancels across s v t for incomparable s, t
+        rng = random.Random(4)
+        for lat in self.CORPUS:
+            weights = {x: rng.randint(-9, 9) for x in lat.elements}
+            f = SetFunction(lambda s, lat=lat, w=weights:
+                            (-1 if len(s) & 1 else 1) * w[lat.join_set(s)], 0, "join-weight")
+            poset = FinitePoset.from_covers(lat.elements, _cover_pairs(lat))
+            value = sum_over_chains(f, lat)
+            assert value == sum_over_chains(f, poset)
+            assert value == sum_full(f, OrderedGroundSet(lat.linear_extension()))
+
+    def test_maxima_sum_accepts_a_lattice(self):
+        # f(S) = (-1)^|S| w(minimal elements of S) cancels across the larger
+        # element of every comparable pair
+        rng = random.Random(6)
+        for lat in self.CORPUS:
+            weights = {}
+
+            def fn(s, lat=lat, weights=weights):
+                minima = frozenset(x for x in s if not any(lat.lt(y, x) for y in s))
+                if minima not in weights:
+                    weights[minima] = rng.randint(-9, 9)
+                return (-1 if len(s) & 1 else 1) * weights[minima]
+
+            f = SetFunction(fn, 0, "minima-weight")
+            poset = FinitePoset.from_covers(lat.elements, _cover_pairs(lat))
+            on_lattice = sum_over_maxima(f, lat)
+            on_poset = sum_over_maxima(f, poset)
+            assert on_lattice.restricted == on_poset.restricted == on_lattice.full
+            assert on_lattice.full == on_poset.full
+            assert on_lattice.cancellation.ok and on_poset.cancellation.ok
+
+    def test_cyclic_covers_name_a_pair(self):
+        with pytest.raises(PreconditionError, match="'b' and 'c'"):
+            FiniteLattice("abcd", [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")])
+        b3 = boolean_lattice(3)
+        with pytest.raises(PreconditionError, match="through 1 and 2"):
+            Crosscut(b3, (1, 2, 4), [(1, 2), (2, 4), (4, 1)])
+
+    def test_precedence_pair_outside_the_crosscut(self):
+        b3 = boolean_lattice(3)
+        with pytest.raises(SchemaError, match="leaves the crosscut"):
+            Crosscut(b3, (1, 2, 4), [(1, 3)])
+
+    def test_precedes_is_the_strict_order(self):
+        b3 = boolean_lattice(3)
+        cc = Crosscut(b3, (1, 2, 4), [(4, 2), (2, 1)])
+        assert cc.precedes(4, 1) and not cc.precedes(1, 4) and not cc.precedes(2, 2)
+        assert cc.linear_extension() == (4, 2, 1)
+
+
+def _reference_family(lattice, crosscut, drop_meet_bound=False):
+    """The witness search as first written: every member tries every element,
+    keeping the one earliest in the linear extension."""
+    elements = crosscut.elements
+    lin = crosscut.linear_extension()
+    linpos = {e: i for i, e in enumerate(lin)}
+    out = []
+    for r in range(1, len(elements) + 1):
+        for combo in itertools.combinations(elements, r):
+            meet = lattice.meet_set(combo)
+            join = lattice.join_set(combo)
+            witnesses = {}
+            ok = True
+            for b in combo:
+                best = None
+                for c in elements:
+                    if not crosscut.precedes(c, b):
+                        continue
+                    if not lattice.lt(c, join):
+                        continue
+                    if not drop_meet_bound and not lattice.lt(meet, c):
+                        continue
+                    if best is None or linpos[c] < linpos[best]:
+                        best = c
+                if best is None:
+                    ok = False
+                    break
+                witnesses[b] = best
+            if ok:
+                added = min(witnesses.values(), key=linpos.__getitem__)
+                subset = frozenset(combo)
+                out.append((subset, witnesses, added, subset | {added}))
+    return out
+
+
+def test_blass_sagan_family_matches_the_all_pairs_search():
+    rng = random.Random(2024)
+    checked = nonempty = 0
+    for lat in (boolean_lattice(3), boolean_lattice(4), partition_lattice(4),
+                divisor_lattice(60), divisor_lattice(210)):
+        atoms = lat.atoms()
+        cuts = [atoms, lat.coatoms()] + [c for c in all_crosscuts(lat)
+                                         if set(c) not in (set(atoms), set(lat.coatoms()))][:2]
+        for cut in cuts:
+            for _ in range(4):
+                cc = Crosscut(lat, cut, _random_precedence(rng, cut))
+                drops = (False, True) if set(cut) == set(atoms) else (False,)
+                for drop in drops:
+                    got = [(bs.subset, bs.witnesses, bs.added, bs.circuit)
+                           for bs in blass_sagan_family(lat, cc, drop_meet_bound=drop)]
+                    assert got == _reference_family(lat, cc, drop)
+                    checked += 1
+                    nonempty += bool(got)
+    assert checked == 72 and nonempty >= 15
