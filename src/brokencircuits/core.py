@@ -601,26 +601,27 @@ def verify_cancellation(f, family, ground, cap=CANCELLATION_CAP):
 
 
 class FinitePoset:
-    """Finite partially ordered set, validated on construction."""
+    """Finite partially ordered set, validated on construction.
+
+    Element i carries its up-set and down-set as int masks: bit j of
+    ``_up[i]`` is set when elements[i] <= elements[j], and bit j of
+    ``_down[i]`` when elements[j] <= elements[i].
+    """
 
     _kind = "poset"
 
     def __init__(self, elements, relation):
         self._build(elements, relation, close=False)
-        elements, leq = self.elements, self._leq
-        n = len(elements)
-        for i in range(n):
-            for j in range(n):
-                if not leq[i][j]:
-                    continue
-                row_j = leq[j]
-                row_i = leq[i]
-                for k in range(n):
-                    if row_j[k] and not row_i[k]:
-                        raise PreconditionError(
-                            "relation is not transitive: "
-                            f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
-                        )
+        elements, up = self.elements, self._up
+        for i, row in enumerate(up):
+            for j in _bits(row):
+                missing = up[j] & ~row
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
+                    raise PreconditionError(
+                        "relation is not transitive: "
+                        f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
+                    )
 
     @classmethod
     def from_covers(cls, elements, covers):
@@ -638,26 +639,28 @@ class FinitePoset:
         self.elements = elements
         self._idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
+        up = [1 << i for i in range(n)]
         for a, b in pairs:
-            leq[self._index(a)][self._index(b)] = True
+            up[self._index(a)] |= 1 << self._index(b)
         if close:
+            # Warshall on rows: every i below k reaches whatever k reaches
             for k in range(n):
-                for i in range(n):
-                    if leq[i][k]:
-                        row_i, row_k = leq[i], leq[k]
-                        for j in range(n):
-                            if row_k[j]:
-                                row_i[j] = True
+                bit, row = 1 << k, up[k]
+                up = [m | row if m & bit else m for m in up]
+        down = [0] * n
+        for i, row in enumerate(up):
+            for j in _bits(row):
+                down[j] |= 1 << i
         for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise PreconditionError(
-                        f"the order has a cycle through {elements[i]!r} and {elements[j]!r}"
-                    )
-        self._leq = leq
+            # the first such i meets its cycle partners only above itself
+            others = (up[i] & down[i]) ^ (1 << i)
+            if others:
+                j = (others & -others).bit_length() - 1
+                raise PreconditionError(
+                    f"the order has a cycle through {elements[i]!r} and {elements[j]!r}"
+                )
+        self._up, self._down = up, down
+        self._by_up = {row: i for i, row in enumerate(up)}
 
     def _index(self, element):
         try:
@@ -672,7 +675,7 @@ class FinitePoset:
         return iter(self.elements)
 
     def le(self, a, b):
-        return self._leq[self._index(a)][self._index(b)]
+        return bool(self._up[self._index(a)] >> self._index(b) & 1)
 
     def lt(self, a, b):
         return a != b and self.le(a, b)
@@ -681,55 +684,35 @@ class FinitePoset:
         return self.le(a, b) or self.le(b, a)
 
     def maximal_elements(self):
-        out = []
-        for i, e in enumerate(self.elements):
-            if not any(self._leq[i][j] for j in range(len(self.elements)) if j != i):
-                out.append(e)
-        return tuple(out)
+        return tuple(e for i, e in enumerate(self.elements) if self._up[i] == 1 << i)
 
     def minimal_elements(self):
-        out = []
-        for i, e in enumerate(self.elements):
-            if not any(self._leq[j][i] for j in range(len(self.elements)) if j != i):
-                out.append(e)
-        return tuple(out)
+        return tuple(e for i, e in enumerate(self.elements) if self._down[i] == 1 << i)
 
     def linear_extension(self):
         """Stable topological order: earliest-input element among the available ones."""
-        n = len(self.elements)
-        placed = [False] * n
+        down, n = self._down, len(self.elements)
+        placed = 0
         out = []
         for _ in range(n):
-            for i in range(n):
-                if placed[i]:
-                    continue
-                if all(
-                    placed[j] or j == i
-                    for j in range(n)
-                    if self._leq[j][i]
-                ):
-                    placed[i] = True
-                    out.append(self.elements[i])
-                    break
+            # every position below the lowest unplaced one is placed already
+            first = ((placed + 1) & ~placed).bit_length() - 1
+            i = next(i for i in range(first, n) if down[i] & ~placed == 1 << i)
+            placed |= 1 << i
+            out.append(self.elements[i])
         return tuple(out)
 
     def join(self, a, b):
         """Least upper bound, or None if it does not exist."""
-        n = len(self.elements)
-        ia, ib = self._index(a), self._index(b)
-        ubs = [k for k in range(n) if self._leq[ia][k] and self._leq[ib][k]]
-        for k in ubs:
-            if all(self._leq[k][other] for other in ubs):
-                return self.elements[k]
-        return None
+        k = self._by_up.get(self._up[self._index(a)] & self._up[self._index(b)])
+        return None if k is None else self.elements[k]
 
     def semilattice_violation(self):
         """A pair with no least upper bound, or None if all joins exist."""
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.join(self.elements[i], self.elements[j]) is None:
-                    return (self.elements[i], self.elements[j])
+        up = self._up
+        for i, j in itertools.combinations(range(len(up)), 2):
+            if up[i] & up[j] not in self._by_up:
+                return (self.elements[i], self.elements[j])
         return None
 
     def is_chain(self, labels):

@@ -283,27 +283,12 @@ def interval_geometry(n):
 
 def ideal_geometry(poset):
     """Closed sets are the down-sets of a poset; bases are the maxima."""
-    elements = poset.elements
-    n = len(elements)
-    pred = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if j != i and poset.le(elements[j], elements[i]):
-                m |= 1 << j
-        pred.append(m)
-    ground = OrderedGroundSet(elements, cap=CLOSURE_CAP)
+    ground = OrderedGroundSet(poset.elements, cap=CLOSURE_CAP)
+    down = poset._down
     closed = []
-    for mask in range(1 << n):
-        ok = True
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            if pred[bit.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            mm ^= bit
-        if ok:
+    for mask in range(1 << len(ground)):
+        # a down-set holds the down-set of each of its members
+        if not any(down[i] & ~mask for i in _bits(mask)):
             closed.append(ground.subset_of(mask))
     return ConvexGeometry(ClosureSystem(ground, closed))
 

@@ -176,8 +176,7 @@ def parse_lattice(obj):
 
 def lattice_to_obj(lattice, seed=None):
     elements = [_unlabel(e) for e in lattice.elements]
-    covers = [[elements[i], elements[j]] for i in range(len(elements))
-              for j in sorted(lattice._covers_up[i])]
+    covers = [[_unlabel(a), _unlabel(b)] for a, b in lattice.covers()]
     return _seeded({"kind": "lattice", "elements": elements, "covers": covers}, seed)
 
 

@@ -10,22 +10,28 @@ crosscut, by running the broken-circuit engine in dual form (the ground
 order reversed, so minima play the role of maxima); this module
 implements it that way.
 
-A lattice is a ``core.FinitePoset`` with meet and join tables, and a
-crosscut keeps its auxiliary order as a ``FinitePoset`` too, so the
-closure, the linear extension and the comparisons are the poset's own.
+A lattice is a ``core.FinitePoset``: each element carries its down-set
+and up-set as int masks.  The meet of a set is the element whose
+down-set is the AND of theirs and the join the one whose up-set is the
+AND of theirs, one dict lookup each, and b covers a exactly when
+up(a) & down(b) = {a, b}; there are no meet or join tables.  A crosscut
+keeps its auxiliary order as a ``FinitePoset`` too, so the closure, the
+linear extension and the comparisons are the poset's own.  Lattices are
+capped at ``LATTICE_CAP`` elements before anything is built.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import CircuitFamily, FinitePoset, OrderedGroundSet, SetFunction, _Record
+from .core import CircuitFamily, FinitePoset, OrderedGroundSet, SetFunction, _Record, _bits
 from .core import derive_broken_circuits, sum_pruned
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 CROSSCUT_CAP = 20
 PARTITION_CAP = 5
 DIVISOR_COUNT_CAP = 64
+LATTICE_CAP = 1024
 
 
 class FiniteLattice(FinitePoset):
@@ -42,9 +48,9 @@ class FiniteLattice(FinitePoset):
         elements = tuple(elements)
         if not elements:
             raise SchemaError("lattice must be nonempty")
+        if len(elements) > LATTICE_CAP:
+            raise CapExceeded(f"lattice has {len(elements)} elements; the cap is {LATTICE_CAP}")
         self._build(elements, covers, close=True)
-        leq = self._leq
-        n = len(elements)
         bottoms = self.minimal_elements()
         tops = self.maximal_elements()
         if len(bottoms) != 1:
@@ -53,51 +59,28 @@ class FiniteLattice(FinitePoset):
             raise PreconditionError("lattice must have a unique maximum")
         self._bottom = self._idx[bottoms[0]]
         self._top = self._idx[tops[0]]
-        self._meet = [[None] * n for _ in range(n)]
-        self._join = [[None] * n for _ in range(n)]
+        up, down, n = self._up, self._down, len(elements)
+        self._by_down = {row: i for i, row in enumerate(down)}
         for i in range(n):
             for j in range(i, n):
-                m = self._bound(i, j, lower=True)
-                if m is None:
+                if down[i] & down[j] not in self._by_down:
                     raise PreconditionError(
                         f"elements {elements[i]!r} and {elements[j]!r} have no meet"
                     )
-                jn = self._bound(i, j, lower=False)
-                if jn is None:
+                if up[i] & up[j] not in self._by_up:
                     raise PreconditionError(
                         f"elements {elements[i]!r} and {elements[j]!r} have no join"
                     )
-                self._meet[i][j] = self._meet[j][i] = m
-                self._join[i][j] = self._join[j][i] = jn
-        # true covers, recomputed from the closed order
-        self._covers_up = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j]:
-                    if not any(
-                        k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)
-                    ):
-                        self._covers_up[i].add(j)
+        # b covers a exactly when nothing else lies between them
+        self._covers_up = [
+            [j for j in _bits(up[i] ^ (1 << i)) if up[i] & down[j] == (1 << i) | (1 << j)]
+            for i in range(n)
+        ]
 
     @classmethod
     def from_covers(cls, elements, covers):
         """The lattice constructor already takes covers."""
         return cls(elements, covers)
-
-    def _bound(self, i, j, lower):
-        n = len(self.elements)
-        leq = self._leq
-        if lower:
-            candidates = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            for k in candidates:
-                if all(leq[other][k] for other in candidates):
-                    return k
-        else:
-            candidates = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            for k in candidates:
-                if all(leq[k][other] for other in candidates):
-                    return k
-        return None
 
     def __repr__(self):
         return f"FiniteLattice({len(self.elements)} elements)"
@@ -111,24 +94,26 @@ class FiniteLattice(FinitePoset):
         return self.elements[self._top]
 
     def meet(self, a, b):
-        return self.elements[self._meet[self._index(a)][self._index(b)]]
-
-    def join(self, a, b):
-        return self.elements[self._join[self._index(a)][self._index(b)]]
+        return self.meet_set((a, b))
 
     def meet_set(self, subset):
         """Meet of a subset; the empty meet is the top element."""
-        acc = self._top
+        mask = self._down[self._top]
         for e in subset:
-            acc = self._meet[acc][self._index(e)]
-        return self.elements[acc]
+            mask &= self._down[self._index(e)]
+        return self.elements[self._by_down[mask]]
 
     def join_set(self, subset):
         """Join of a subset; the empty join is the bottom element."""
-        acc = self._bottom
+        mask = self._up[self._bottom]
         for e in subset:
-            acc = self._join[acc][self._index(e)]
-        return self.elements[acc]
+            mask &= self._up[self._index(e)]
+        return self.elements[self._by_up[mask]]
+
+    def covers(self):
+        """The cover pairs (a, b), by the index of a and then of b."""
+        return [(self.elements[i], self.elements[j])
+                for i, above in enumerate(self._covers_up) for j in above]
 
     def middle(self):
         """All elements except bottom and top."""
@@ -137,12 +122,11 @@ class FiniteLattice(FinitePoset):
         )
 
     def atoms(self):
-        return tuple(self.elements[i] for i in sorted(self._covers_up[self._bottom]))
+        return tuple(self.elements[i] for i in self._covers_up[self._bottom])
 
     def coatoms(self):
-        n = len(self.elements)
         return tuple(
-            self.elements[i] for i in range(n) if self._top in self._covers_up[i]
+            self.elements[i] for i, above in enumerate(self._covers_up) if self._top in above
         )
 
     def maximal_chains(self):
@@ -154,18 +138,20 @@ class FiniteLattice(FinitePoset):
             if path[-1] == self._top:
                 chains.append(tuple(self.elements[j] for j in path))
             else:
-                stack += [path + (j,) for j in sorted(self._covers_up[path[-1]], reverse=True)]
+                stack += [path + (j,) for j in reversed(self._covers_up[path[-1]])]
         return chains
 
 
 def mobius_function(lattice):
     """mu_L on every element, from the defining recursion
     sum_{y <= x} mu(y) = [x = bottom]."""
-    mu = {}
-    for x in lattice.linear_extension():
-        below = sum(mu[y] for y in lattice.elements if lattice.lt(y, x))
-        mu[x] = (1 if x == lattice.bottom else 0) - below
-    return mu
+    down = lattice._down
+    order = [lattice._index(x) for x in lattice.linear_extension()]
+    mu = [0] * len(order)
+    for i in order:
+        below = sum(mu[j] for j in _bits(down[i] ^ (1 << i)))
+        mu[i] = (1 if i == lattice._bottom else 0) - below
+    return {lattice.elements[i]: mu[i] for i in order}
 
 
 def mobius(lattice):
@@ -231,23 +217,37 @@ def _check_atoms_only(lattice, elements, flag):
         )
 
 
+def _spans(lattice, drop_meet_condition):
+    """Whether a crosscut subset counts: its members' up-sets meet in {top}
+    and, unless dropped, their down-sets in {bottom}."""
+    up, down, index = lattice._up, lattice._down, lattice._idx
+    top, bottom = up[lattice._top], down[lattice._bottom]
+    everything = up[lattice._bottom]
+
+    def spans(subset):
+        above = below = everything
+        for e in subset:
+            i = index[e]
+            above &= up[i]
+            below &= down[i]
+        return above == top and (drop_meet_condition or below == bottom)
+
+    return spans
+
+
 def rota_crosscut(lattice, crosscut, drop_meet_condition=False):
     """mu(L) as the alternating count of crosscut subsets with meet bottom
     and join top; asserted equal to the recursive value."""
-    elements = crosscut.elements if isinstance(crosscut, Crosscut) else tuple(crosscut)
-    if not is_crosscut(lattice, elements):
-        raise PreconditionError("not a crosscut")
-    if len(elements) > CROSSCUT_CAP:
-        raise CapExceeded(f"crosscut has more than {CROSSCUT_CAP} elements")
+    if not isinstance(crosscut, Crosscut):
+        crosscut = Crosscut(lattice, crosscut)
+    elements = crosscut.elements
     _check_atoms_only(lattice, elements, drop_meet_condition)
+    spans = _spans(lattice, drop_meet_condition)
     total = 0
     for r in range(len(elements) + 1):
         for combo in itertools.combinations(elements, r):
-            if lattice.join_set(combo) != lattice.top:
-                continue
-            if not drop_meet_condition and lattice.meet_set(combo) != lattice.bottom:
-                continue
-            total += -1 if r & 1 else 1
+            if spans(combo):
+                total += -1 if r & 1 else 1
     expected = mobius(lattice)
     if total != expected:
         raise RuntimeError(f"crosscut sum {total} differs from mu(L) = {expected}")
@@ -281,24 +281,31 @@ def blass_sagan_family(lattice, crosscut, drop_meet_bound=False):
     if not isinstance(crosscut, Crosscut):
         raise SchemaError("need a Crosscut with its auxiliary order")
     elements = crosscut.elements
-    if len(elements) > CROSSCUT_CAP:
-        raise CapExceeded(f"crosscut has more than {CROSSCUT_CAP} elements")
     _check_atoms_only(lattice, elements, drop_meet_bound)
+    up, down, index = lattice._up, lattice._down, lattice._idx
     lin = crosscut.linear_extension()
-    # each member's possible witnesses, as positions in the linear extension
+    # each member's possible witnesses: position in the linear extension, lattice bit
     candidates = {
-        b: [j for j, c in enumerate(lin) if crosscut.precedes(c, b)] for b in elements
+        b: [(j, 1 << index[c]) for j, c in enumerate(lin) if crosscut.precedes(c, b)]
+        for b in elements
     }
+    everything = up[lattice._bottom]
     out = []
     for r in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, r):
-            meet = lattice.meet_set(combo)
-            join = lattice.join_set(combo)
+            above = below = everything
+            for b in combo:
+                above &= up[index[b]]
+                below &= down[index[b]]
+            # a witness lies strictly below the join and, unless dropped, above the meet
+            join = lattice._by_up[above]
+            between = down[join] ^ (1 << join)
+            if not drop_meet_bound:
+                meet = lattice._by_down[below]
+                between &= up[meet] ^ (1 << meet)
             chosen = {}
             for b in combo:
-                # the earliest candidate below the join and, unless dropped, above the meet
-                j = next((j for j in candidates[b] if lattice.lt(lin[j], join)
-                          and (drop_meet_bound or lattice.lt(meet, lin[j]))), None)
+                j = next((j for j, bit in candidates[b] if between & bit), None)
                 if j is None:
                     break
                 chosen[b] = j
@@ -342,14 +349,10 @@ def blass_sagan_mobius(
         derived = {bc.subset for bc in derive_broken_circuits(circuits, ground)}
         if derived != set(broken_sets):
             raise RuntimeError("dual-form bookkeeping failed: derived broken sets differ")
-    bottom, top = lattice.bottom, lattice.top
+    spans = _spans(lattice, drop_meet_condition)
 
     def fn(subset):
-        if lattice.join_set(subset) != top:
-            return 0
-        if not drop_meet_condition and lattice.meet_set(subset) != bottom:
-            return 0
-        return -1 if len(subset) & 1 else 1
+        return (-1 if len(subset) & 1 else 1) if spans(subset) else 0
 
     value = sum_pruned(SetFunction(fn, 0, "crosscut-indicator"), ground, chosen)
     expected = mobius(lattice)
@@ -380,6 +383,10 @@ def all_crosscuts(lattice):
 
 def boolean_lattice(n):
     """Subsets of {0..n-1} ordered by inclusion; elements are bitmask ints."""
+    if n < 0:
+        raise PreconditionError(f"boolean lattice needs n >= 0, got {n}")
+    if n >= LATTICE_CAP.bit_length():
+        raise CapExceeded(f"boolean lattice has 2^{n} elements; the cap is {LATTICE_CAP}")
     elements = list(range(1 << n))
     covers = [
         (m, m | (1 << i)) for m in elements for i in range(n) if not m >> i & 1
@@ -419,16 +426,12 @@ def partition_lattice(n):
                 yield part[:i] + [part[i] | {first}] + part[i + 1 :]
             yield part + [{first}]
 
-    parts = [tuple(frozenset(b) for b in p) for p in partitions(list(range(1, n + 1)))]
-    labels = {p: label(p) for p in parts}
+    parts = list(partitions(list(range(1, n + 1))))
     covers = []
-    for p in parts:
-        blocks = list(p)
+    for blocks in parts:
         for i, j in itertools.combinations(range(len(blocks)), 2):
             merged = [b for k, b in enumerate(blocks) if k not in (i, j)]
             merged.append(blocks[i] | blocks[j])
-            q = tuple(frozenset(b) for b in merged)
-            target = next(t for t in parts if set(t) == set(q))
-            covers.append((labels[p], labels[target]))
-    ordered = sorted(set(labels.values()), key=lambda s: (-s.count("|"), s))
+            covers.append((label(blocks), label(merged)))
+    ordered = sorted(map(label, parts), key=lambda s: (-s.count("|"), s))
     return FiniteLattice(ordered, covers)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -412,6 +413,26 @@ class TestExitCodes:
         grid = cli_process("generate", "grid", "--m", "2", "--n", "3")
         assert grid.returncode == 0, grid.stderr
         assert json.loads(grid.stdout)["kind"] == "hypergraph"
+
+    def test_boolean_lattice_past_the_cap_is_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "generate", "boolean-lattice", "--n", "11")
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out is None
+        assert "2^11 elements" in err
+        proc = cli_process("generate", "boolean-lattice", "--n", "11")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    def test_lattice_document_past_the_cap_exits_3(self, tmp_path):
+        chain = list(range(1025))
+        doc = {"kind": "lattice", "elements": chain, "covers": [[a, a + 1] for a in chain[:-1]]}
+        proc = cli_process("compute", "lattice-mobius", write(tmp_path, "chain.json", doc))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "lattice has 1025 elements" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "kind, instance",

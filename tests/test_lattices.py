@@ -12,7 +12,7 @@ from brokencircuits.core import (
     sum_over_chains,
     sum_over_maxima,
 )
-from brokencircuits.errors import PreconditionError, SchemaError
+from brokencircuits.errors import CapExceeded, PreconditionError, SchemaError
 from brokencircuits.lattices import (
     Crosscut,
     FiniteLattice,
@@ -472,3 +472,205 @@ def test_blass_sagan_family_matches_the_all_pairs_search():
                     checked += 1
                     nonempty += bool(got)
     assert checked == 72 and nonempty >= 15
+
+
+class _BooleanOrder:
+    """Reference order: a nested-boolean Warshall closure, with meets,
+    joins and covers found by searching all elements for every pair."""
+
+    def __init__(self, elements, covers):
+        self.elements = list(elements)
+        n = len(self.elements)
+        self.pos = {e: i for i, e in enumerate(self.elements)}
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for a, b in covers:
+            leq[self.pos[a]][self.pos[b]] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if leq[i][k] and leq[k][j]:
+                        leq[i][j] = True
+        self.leq = leq
+
+    def le(self, a, b):
+        return self.leq[self.pos[a]][self.pos[b]]
+
+    def lt(self, a, b):
+        return a != b and self.le(a, b)
+
+    def maximal_elements(self):
+        return tuple(a for a in self.elements if not any(self.lt(a, b) for b in self.elements))
+
+    def minimal_elements(self):
+        return tuple(a for a in self.elements if not any(self.lt(b, a) for b in self.elements))
+
+    def linear_extension(self):
+        out = []
+        while len(out) < len(self.elements):
+            out.append(next(a for a in self.elements if a not in out
+                            and all(b in out for b in self.elements if self.lt(b, a))))
+        return tuple(out)
+
+    def join(self, a, b):
+        uppers = [c for c in self.elements if self.le(a, c) and self.le(b, c)]
+        return next((c for c in uppers if all(self.le(c, d) for d in uppers)), None)
+
+    def meet(self, a, b):
+        lowers = [c for c in self.elements if self.le(c, a) and self.le(c, b)]
+        return next((c for c in lowers if all(self.le(d, c) for d in lowers)), None)
+
+    def covers(self):
+        return [(a, b) for a in self.elements for b in self.elements
+                if self.lt(a, b) and not any(self.lt(a, c) and self.lt(c, b)
+                                             for c in self.elements)]
+
+    def maximal_chains(self, path):
+        above = [b for a, b in self.covers() if a == path[-1]]
+        if not above:
+            return [tuple(path)]
+        return [chain for b in above for chain in self.maximal_chains(path + [b])]
+
+    def mobius_function(self, bottom):
+        mu = {}
+        for x in self.linear_extension():
+            mu[x] = (x == bottom) - sum(mu[y] for y in mu if self.lt(y, x))
+        return mu
+
+
+def _random_cover_dag(rng, n):
+    """n shuffled labels with random pairs from earlier to later in a hidden order."""
+    labels = [f"v{i}" for i in range(n)]
+    rng.shuffle(labels)
+    hidden = rng.sample(labels, n)
+    p = rng.choice((0.15, 0.3, 0.5))
+    covers = [(hidden[i], hidden[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < p]
+    return labels, covers
+
+
+class TestMaskSubstrate:
+    """Up-set and down-set masks against a nested-boolean reference."""
+
+    LATTICES = {
+        "B3": boolean_lattice(3),
+        "B4": boolean_lattice(4),
+        "Pi4": partition_lattice(4),
+        "D60": divisor_lattice(60),
+        "D720": divisor_lattice(720),
+    }
+
+    def test_poset_queries_match_the_reference(self):
+        rng = random.Random(12)
+        missing_joins = 0
+        for trial in range(60):
+            labels, covers = _random_cover_dag(rng, rng.randint(1, 12))
+            poset = FinitePoset.from_covers(labels, covers)
+            ref = _BooleanOrder(labels, covers)
+            assert [poset.le(a, b) for a in labels for b in labels] == \
+                [ref.le(a, b) for a in labels for b in labels]
+            assert poset.maximal_elements() == ref.maximal_elements()
+            assert poset.minimal_elements() == ref.minimal_elements()
+            assert poset.linear_extension() == ref.linear_extension()
+            joins = [poset.join(a, b) for a in labels for b in labels]
+            assert joins == [ref.join(a, b) for a in labels for b in labels]
+            missing_joins += joins.count(None)
+            # the same order given as all its pairs
+            closed = [(a, b) for a in labels for b in labels if ref.le(a, b)]
+            assert FinitePoset(labels, closed).linear_extension() == ref.linear_extension()
+        assert missing_joins > 0
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    def test_lattice_queries_match_the_reference(self, name):
+        lat = self.LATTICES[name]
+        ref = _BooleanOrder(lat.elements, lat.covers())
+        els = lat.elements
+        assert lat.covers() == ref.covers()
+        assert [lat.meet(a, b) for a in els for b in els] == [ref.meet(a, b) for a in els for b in els]
+        assert [lat.join(a, b) for a in els for b in els] == [ref.join(a, b) for a in els for b in els]
+        rng = random.Random(len(els))
+        for _ in range(40):
+            subset = rng.sample(els, rng.randint(0, 4))
+            meet, join = lat.top, lat.bottom
+            for e in subset:
+                meet, join = ref.meet(meet, e), ref.join(join, e)
+            assert lat.meet_set(subset) == meet
+            assert lat.join_set(subset) == join
+        assert lat.atoms() == tuple(b for a, b in ref.covers() if a == lat.bottom)
+        assert lat.coatoms() == tuple(a for a, b in ref.covers() if b == lat.top)
+        assert lat.maximal_chains() == ref.maximal_chains([lat.bottom])
+        mu = mobius_function(lat)
+        assert list(mu.items()) == list(ref.mobius_function(lat.bottom).items())
+
+    def test_covers_feed_the_lattice_document(self):
+        from brokencircuits import io
+
+        lat = divisor_lattice(12)
+        assert lat.covers() == [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (4, 12), (6, 12)]
+        assert io.lattice_to_obj(lat)["covers"] == [list(c) for c in lat.covers()]
+
+    def test_first_non_transitive_triple(self):
+        with pytest.raises(PreconditionError, match=r"^relation is not transitive: 's' <= 'p' <= 'r'$"):
+            FinitePoset("pqrs", [("s", "p"), ("p", "q"), ("q", "r"), ("s", "q"), ("p", "r")])
+
+    def test_first_cycle_pair(self):
+        # (x, w) comes before (y, z) in input order
+        with pytest.raises(PreconditionError, match=r"^the order has a cycle through 'x' and 'w'$"):
+            FinitePoset.from_covers("xyzw", [("w", "x"), ("y", "z"), ("z", "y"), ("x", "w")])
+        with pytest.raises(PreconditionError, match=r"^the order has a cycle through 'y' and 'z'$"):
+            FinitePoset("xyzw", [("z", "y"), ("y", "z")])
+
+    def test_first_pair_without_meet_or_join(self):
+        bowtie = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+                  ("c", "1"), ("d", "1")]
+        with pytest.raises(PreconditionError, match=r"^elements 'a' and 'b' have no join$"):
+            FiniteLattice(["0", "a", "b", "c", "d", "1"], bowtie)
+        with pytest.raises(PreconditionError, match=r"^elements 'c' and 'd' have no meet$"):
+            FiniteLattice(["0", "c", "d", "a", "b", "1"], bowtie)
+        # x and y lack both; the meet is reported first
+        layers = [("0", "p"), ("0", "q"), ("p", "x"), ("p", "y"), ("q", "x"), ("q", "y"),
+                  ("x", "r"), ("x", "s"), ("y", "r"), ("y", "s"), ("r", "1"), ("s", "1")]
+        with pytest.raises(PreconditionError, match=r"^elements 'x' and 'y' have no meet$"):
+            FiniteLattice(["0", "x", "y", "p", "q", "r", "s", "1"], layers)
+
+
+class TestCrosscutCheckedOnce:
+    def test_rota_crosscut_trusts_a_crosscut(self, monkeypatch):
+        from brokencircuits import lattices
+
+        pi4 = partition_lattice(4)
+        cc = Crosscut(pi4, pi4.atoms())
+        calls = []
+
+        def counting(lattice, subset):
+            calls.append(subset)
+            return is_crosscut(lattice, subset)
+
+        monkeypatch.setattr(lattices, "is_crosscut", counting)
+        assert rota_crosscut(pi4, cc) == -6
+        assert calls == []
+        assert rota_crosscut(pi4, pi4.atoms()) == -6
+        assert len(calls) == 1
+
+    def test_repeated_labels_are_a_schema_error(self):
+        b3 = boolean_lattice(3)
+        with pytest.raises(SchemaError, match="pairwise distinct"):
+            rota_crosscut(b3, (1, 2, 4, 1))
+        with pytest.raises(PreconditionError, match="is not a crosscut"):
+            rota_crosscut(b3, (1, 2))
+
+
+class TestLatticeCap:
+    def test_lattice_document_past_the_cap(self):
+        from brokencircuits.lattices import LATTICE_CAP
+
+        chain = list(range(LATTICE_CAP + 1))
+        with pytest.raises(CapExceeded, match=f"lattice has {LATTICE_CAP + 1} elements"):
+            FiniteLattice(chain, zip(chain, chain[1:]))
+
+    def test_boolean_lattice_refused_before_it_is_built(self):
+        with pytest.raises(CapExceeded, match=r"2\^11 elements"):
+            boolean_lattice(11)
+        with pytest.raises(CapExceeded, match=r"2\^1000000 elements"):
+            boolean_lattice(10 ** 6)
+        with pytest.raises(PreconditionError, match="n >= 0"):
+            boolean_lattice(-1)
