@@ -979,25 +979,17 @@ def random_cancelling_instance(rng, size, value_kind="int", max_circuits=4):
             mask = grown
 
     if value_kind == "int":
-        weights = {}
-        table = []
-        for mask in range(1 << n):
-            h = close(mask)
-            if h not in weights:
-                weights[h] = rng.randint(-9, 9)
-            w = weights[h]
-            table.append(-w if mask.bit_count() & 1 else w)
-        f = TableSetFunction(ground, table, 0, "random-int")
+        zero, draw = 0, lambda: rng.randint(-9, 9)
     elif value_kind == "poly":
-        weights = {}
-        table = []
-        for mask in range(1 << n):
-            h = close(mask)
-            if h not in weights:
-                weights[h] = IntPolynomial([rng.randint(-3, 3) for _ in range(3)])
-            w = weights[h]
-            table.append(-w if mask.bit_count() & 1 else w)
-        f = TableSetFunction(ground, table, IntPolynomial.zero(), "random-poly")
+        zero, draw = IntPolynomial.zero(), lambda: IntPolynomial([rng.randint(-3, 3) for _ in range(3)])
     else:
         raise SchemaError(f"unknown value kind {value_kind!r}")
-    return ground, CircuitFamily(circuits), f
+    weights = {}
+    table = []
+    for mask in range(1 << n):
+        h = close(mask)
+        if h not in weights:
+            weights[h] = draw()
+        w = weights[h]
+        table.append(-w if mask.bit_count() & 1 else w)
+    return ground, CircuitFamily(circuits), TableSetFunction(ground, table, zero, f"random-{value_kind}")

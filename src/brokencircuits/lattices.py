@@ -16,21 +16,22 @@ down-set is the AND of theirs and the join the one whose up-set is the
 AND of theirs, one dict lookup each, and b covers a exactly when
 up(a) & down(b) = {a, b}; there are no meet or join tables.  A crosscut
 keeps its auxiliary order as a ``FinitePoset`` too, so the closure, the
-linear extension and the comparisons are the poset's own.  Lattices are
-capped at ``LATTICE_CAP`` elements before anything is built.
+linear extension and the comparisons are the poset's own.  The crosscut
+test is one cover-reachability sweep, and both crosscut sums are ``core``
+kernel folds of (AND of up-sets, AND of down-sets).  Lattices, and every
+generator before it builds one, are capped at ``LATTICE_CAP`` elements;
+``CROSSCUT_CAP`` bounds only the routes that list all 2^|C| subsets.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import CircuitFamily, FinitePoset, OrderedGroundSet, SetFunction, _Record, _bits
-from .core import derive_broken_circuits, sum_pruned
+from .core import CircuitFamily, FinitePoset, OrderedGroundSet, _Record, _bits, _broken_masks
+from .core import _image_fold, _signed_fold, derive_broken_circuits
 from .errors import CapExceeded, PreconditionError, SchemaError
 
 CROSSCUT_CAP = 20
-PARTITION_CAP = 5
-DIVISOR_COUNT_CAP = 64
 LATTICE_CAP = 1024
 
 
@@ -159,23 +160,31 @@ def mobius(lattice):
     return mobius_function(lattice)[lattice.top]
 
 
+def _top_reachable(lattice, avoid):
+    """Whether a walk up the covers from bottom reaches top without
+    entering the ``avoid`` mask, i.e. some maximal chain misses it."""
+    reached = 1 << lattice._bottom
+    stack = [lattice._bottom]
+    while stack:
+        for j in lattice._covers_up[stack.pop()]:
+            if not (reached | avoid) >> j & 1:
+                reached |= 1 << j
+                stack.append(j)
+    return bool(reached >> lattice._top & 1)
+
+
 def is_crosscut(lattice, subset):
     """Antichain avoiding bottom and top that meets every maximal chain."""
     if not lattice.middle():
         raise PreconditionError("crosscuts need a non-trivial lattice")
-    subset = frozenset(subset)
-    if not subset:
+    members = {lattice._index(e) for e in subset}
+    if not members or not members.isdisjoint((lattice._bottom, lattice._top)):
         return False
-    for e in subset:
-        if e in (lattice.bottom, lattice.top):
-            return False
-    for a, b in itertools.combinations(subset, 2):
-        if lattice.le(a, b) or lattice.le(b, a):
-            return False
-    for chain in lattice.maximal_chains():
-        if not subset & set(chain):
-            return False
-    return True
+    mask = sum(1 << i for i in members)
+    up, down = lattice._up, lattice._down
+    if any((up[i] | down[i]) & mask != 1 << i for i in members):
+        return False
+    return not _top_reachable(lattice, mask)
 
 
 class Crosscut:
@@ -193,8 +202,6 @@ class Crosscut:
             raise SchemaError("crosscut elements must be pairwise distinct")
         if not is_crosscut(lattice, elements):
             raise PreconditionError(f"{[repr(e) for e in elements]} is not a crosscut")
-        if len(elements) > CROSSCUT_CAP:
-            raise CapExceeded(f"crosscut has more than {CROSSCUT_CAP} elements")
         self.elements = elements
         precedence = tuple(precedence)
         members = set(elements)
@@ -217,37 +224,33 @@ def _check_atoms_only(lattice, elements, flag):
         )
 
 
-def _spans(lattice, drop_meet_condition):
-    """Whether a crosscut subset counts: its members' up-sets meet in {top}
-    and, unless dropped, their down-sets in {bottom}."""
+def _crosscut_fold(lattice, elements, drop_meet_condition):
+    """``(start, include, key)`` folding subsets of ``elements`` (position
+    i is ``elements[i]``) to (AND of up-sets, AND of down-sets), keyed by
+    whether the subset counts: join top and, unless dropped, meet bottom.
+    A dropped meet condition keeps the down-set half at everything."""
+    _check_atoms_only(lattice, elements, drop_meet_condition)
     up, down, index = lattice._up, lattice._down, lattice._idx
-    top, bottom = up[lattice._top], down[lattice._bottom]
     everything = up[lattice._bottom]
+    ups = [up[index[e]] for e in elements]
+    downs = [everything if drop_meet_condition else down[index[e]] for e in elements]
+    goal = (up[lattice._top], everything if drop_meet_condition else down[lattice._bottom])
 
-    def spans(subset):
-        above = below = everything
-        for e in subset:
-            i = index[e]
-            above &= up[i]
-            below &= down[i]
-        return above == top and (drop_meet_condition or below == bottom)
+    def include(i, state):
+        return state[0] & ups[i], state[1] & downs[i]
 
-    return spans
+    return (everything, everything), include, goal.__eq__
 
 
 def rota_crosscut(lattice, crosscut, drop_meet_condition=False):
     """mu(L) as the alternating count of crosscut subsets with meet bottom
-    and join top; asserted equal to the recursive value."""
+    and join top, swept over the distinct (join, meet) states of the
+    subsets; asserted equal to the recursive value."""
     if not isinstance(crosscut, Crosscut):
         crosscut = Crosscut(lattice, crosscut)
     elements = crosscut.elements
-    _check_atoms_only(lattice, elements, drop_meet_condition)
-    spans = _spans(lattice, drop_meet_condition)
-    total = 0
-    for r in range(len(elements) + 1):
-        for combo in itertools.combinations(elements, r):
-            if spans(combo):
-                total += -1 if r & 1 else 1
+    fold = _crosscut_fold(lattice, elements, drop_meet_condition)
+    total = _image_fold(len(elements), *fold).get(True, 0)
     expected = mobius(lattice)
     if total != expected:
         raise RuntimeError(f"crosscut sum {total} differs from mu(L) = {expected}")
@@ -282,6 +285,8 @@ def blass_sagan_family(lattice, crosscut, drop_meet_bound=False):
         raise SchemaError("need a Crosscut with its auxiliary order")
     elements = crosscut.elements
     _check_atoms_only(lattice, elements, drop_meet_bound)
+    if len(elements) > CROSSCUT_CAP:
+        raise CapExceeded(f"crosscut has {len(elements)} elements; the cap is {CROSSCUT_CAP}")
     up, down, index = lattice._up, lattice._down, lattice._idx
     lin = crosscut.linear_extension()
     # each member's possible witnesses: position in the linear extension, lattice bit
@@ -326,9 +331,10 @@ def blass_sagan_mobius(
     by the reversed linear extension of the auxiliary order, so each
     circuit's minimum plays the maximum's role and the derived broken
     sets are exactly the prunable subsets.  Any subfamily of those may be
-    used.  The result is asserted equal to the recursive Mobius value.
+    used; the kernel walks the subsets that avoid it, folding each one's
+    (join, meet) state.  The result is asserted equal to the recursive
+    Mobius value.
     """
-    _check_atoms_only(lattice, crosscut.elements, drop_meet_condition)
     if family is None:
         family = blass_sagan_family(lattice, crosscut, drop_meet_bound=drop_meet_condition)
     broken_sets = [bs.subset for bs in family]
@@ -349,12 +355,8 @@ def blass_sagan_mobius(
         derived = {bc.subset for bc in derive_broken_circuits(circuits, ground)}
         if derived != set(broken_sets):
             raise RuntimeError("dual-form bookkeeping failed: derived broken sets differ")
-    spans = _spans(lattice, drop_meet_condition)
-
-    def fn(subset):
-        return (-1 if len(subset) & 1 else 1) if spans(subset) else 0
-
-    value = sum_pruned(SetFunction(fn, 0, "crosscut-indicator"), ground, chosen)
+    fold = _crosscut_fold(lattice, ground.elements, drop_meet_condition)
+    value = _signed_fold(len(ground), *fold, _broken_masks(ground, chosen)).get(True, 0)
     expected = mobius(lattice)
     if value != expected:
         raise RuntimeError(f"pruned crosscut sum {value} differs from mu(L) = {expected}")
@@ -363,20 +365,21 @@ def blass_sagan_mobius(
 
 def all_crosscuts(lattice):
     """Every crosscut, by exhaustive antichain search over the middle elements."""
-    middle = lattice.middle()
+    middle = [lattice._idx[e] for e in lattice.middle()]
     if len(middle) > CROSSCUT_CAP:
         raise CapExceeded("crosscut search needs at most "
                           f"{CROSSCUT_CAP} middle elements")
-    chains = [set(c) for c in lattice.maximal_chains()]
+    up, down, elements = lattice._up, lattice._down, lattice.elements
     found = []
     # antichains of middle elements, exclusion first; inclusions wait on the stack
-    stack = [(0, ())]
+    stack = [(0, (), 0)]
     while stack:
-        idx, acc = stack.pop()
-        for j, e in enumerate(middle[idx:], idx):
-            if all(not lattice.le(e, o) and not lattice.le(o, e) for o in acc):
-                stack.append((j + 1, acc + (e,)))
-        if acc and all(any(e in chain for e in acc) for chain in chains):
+        idx, acc, mask = stack.pop()
+        for j in range(idx, len(middle)):
+            i = middle[j]
+            if not (up[i] | down[i]) & mask:
+                stack.append((j + 1, acc + (elements[i],), mask | 1 << i))
+        if acc and not _top_reachable(lattice, mask):
             found.append(acc)
     return found
 
@@ -395,12 +398,10 @@ def boolean_lattice(n):
 
 
 def divisor_lattice(n):
-    """Divisors of n ordered by divisibility."""
+    """Divisors of n ordered by divisibility; d(n) <= 240 under FACTOR_CAP."""
     from .numbers import divisors, prime_factors
 
     divs = divisors(n)
-    if len(divs) > DIVISOR_COUNT_CAP:
-        raise CapExceeded(f"divisor lattice needs d(n) <= {DIVISOR_COUNT_CAP}")
     primes = prime_factors(n)
     covers = [(d, d * p) for d in divs for p in primes if n % (d * p) == 0]
     return FiniteLattice(divs, covers)
@@ -408,25 +409,24 @@ def divisor_lattice(n):
 
 def partition_lattice(n):
     """Set partitions of {1..n} ordered by refinement; labels like '12|3'."""
-    if n > PARTITION_CAP:
-        raise CapExceeded(f"partition lattice needs n <= {PARTITION_CAP}")
+    if n < 0:
+        raise PreconditionError(f"partition lattice needs n >= 0, got {n}")
+    # the Bell triangle: row k starts with Bell(k), which grows with k
+    row = [1]
+    for _ in range(n):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        if row[0] > LATTICE_CAP:
+            raise CapExceeded(f"partition lattice has Bell({n}) elements; the cap is {LATTICE_CAP}")
 
     def label(blocks):
         return "|".join(
             "".join(str(x) for x in sorted(b)) for b in sorted(blocks, key=min)
         )
 
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [part[i] | {first}] + part[i + 1 :]
-            yield part + [{first}]
-
-    parts = list(partitions(list(range(1, n + 1))))
+    parts = [[]]
+    for x in range(1, n + 1):
+        parts = [part[:i] + [part[i] | {x}] + part[i + 1:] for part in parts
+                 for i in range(len(part))] + [part + [{x}] for part in parts]
     covers = []
     for blocks in parts:
         for i, j in itertools.combinations(range(len(blocks)), 2):

@@ -460,6 +460,11 @@ def check_lattices(rng):
                 if fam:
                     sub = [bs.subset for bs in fam if rng.random() < 0.5]
                     lattices.blass_sagan_mobius(lat, cc, subfamily=sub)
+    # Pi6: too many middle elements for all_crosscuts, too large families for Blass-Sagan
+    pi6 = lattices.partition_lattice(6)
+    for cut in (pi6.atoms(), pi6.coatoms()):
+        if lattices.rota_crosscut(pi6, cut) != -120:
+            return f"Rota's crosscut sum on {len(cut)} elements of Pi6 is not -120"
     return None
 
 

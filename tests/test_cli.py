@@ -425,6 +425,14 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    def test_partition_lattice_refused_by_its_bell_number(self, capsys):
+        code, out, err = run(capsys, "generate", "partition-lattice", "--n", "8")
+        assert code == 3 and out is None
+        assert "Bell(8) elements" in err
+        code, out, err = run(capsys, "generate", "partition-lattice", "--n", "-2")
+        assert code == 4 and out is None
+        assert "n >= 0, got -2" in err
+
     def test_lattice_document_past_the_cap_exits_3(self, tmp_path):
         chain = list(range(1025))
         doc = {"kind": "lattice", "elements": chain, "covers": [[a, a + 1] for a in chain[:-1]]}

@@ -90,6 +90,8 @@ class TestMobius:
     def test_partitions(self):
         assert mobius(partition_lattice(3)) == 2
         assert mobius(partition_lattice(4)) == -6
+        pi6 = partition_lattice(6)
+        assert (len(pi6), mobius(pi6)) == (203, -120)
 
     def test_mobius_function_sums_to_delta(self):
         lat = divisor_lattice(36)
@@ -674,3 +676,125 @@ class TestLatticeCap:
             boolean_lattice(10 ** 6)
         with pytest.raises(PreconditionError, match="n >= 0"):
             boolean_lattice(-1)
+
+
+def _brute_crosscut_histogram(lattice, elements, drop_meet, broken=()):
+    """{counts: sum of (-1)^|S|} over the subsets S of ``elements`` holding no
+    set of ``broken``, one subset at a time; a subset counts when its join
+    is top and, unless dropped, its meet is bottom."""
+    hist = {}
+    for r in range(len(elements) + 1):
+        for combo in itertools.combinations(elements, r):
+            if any(b <= set(combo) for b in broken):
+                continue
+            counts = lattice.join_set(combo) == lattice.top and (
+                drop_meet or lattice.meet_set(combo) == lattice.bottom)
+            hist[counts] = hist.get(counts, 0) + (-1) ** r
+    return {k: v for k, v in hist.items() if v}
+
+
+class TestKernelCrosscutSums:
+    """Rota's and the Blass-Sagan sums through the kernel folds, against a
+    per-subset brute force."""
+
+    def test_every_crosscut_random_orders_and_subfamilies(self):
+        from brokencircuits import lattices
+        from brokencircuits.core import _image_fold, _signed_fold
+
+        rng = random.Random(13)
+        checked = pruned = 0
+        for lat in (boolean_lattice(3), divisor_lattice(12), divisor_lattice(30),
+                    partition_lattice(4)):
+            mu = mobius(lat)
+            for cut in all_crosscuts(lat):
+                for drop in (False, True) if set(cut) == set(lat.atoms()) else (False,):
+                    hist = _brute_crosscut_histogram(lat, cut, drop)
+                    fold = lattices._crosscut_fold(lat, cut, drop)
+                    assert _image_fold(len(cut), *fold) == hist
+                    assert rota_crosscut(lat, cut, drop) == hist.get(True, 0) == mu
+                    for _ in range(3):
+                        cc = Crosscut(lat, cut, _random_precedence(rng, cut))
+                        fam = blass_sagan_family(lat, cc, drop_meet_bound=drop)
+                        sub = [bs.subset for bs in fam if rng.random() < 0.5]
+                        hist = _brute_crosscut_histogram(lat, cut, drop, sub)
+                        ground = OrderedGroundSet(reversed(cc.linear_extension()))
+                        fold = lattices._crosscut_fold(lat, ground.elements, drop)
+                        masks = [ground.mask_of(b) for b in sub]
+                        got = _signed_fold(len(cut), *fold, masks)
+                        assert {k: v for k, v in got.items() if v} == hist
+                        value = blass_sagan_mobius(lat, cc, subfamily=sub,
+                                                   drop_meet_condition=drop)
+                        assert value == hist.get(True, 0) == mu
+                        checked += 1
+                        pruned += bool(sub)
+        assert checked == 36 and pruned == 7
+
+    def test_is_crosscut_against_the_maximal_chains(self):
+        def reference(lattice, subset):
+            s = set(subset)
+            if not s or {lattice.bottom, lattice.top} & s:
+                return False
+            if any(lattice.lt(a, b) for a in s for b in s):
+                return False
+            return all(s & set(chain) for chain in lattice.maximal_chains())
+
+        rng = random.Random(8)
+        seen = set()
+        for lat in (boolean_lattice(3), boolean_lattice(4), divisor_lattice(60),
+                    partition_lattice(4)):
+            els = lat.elements
+            subsets = [[], [lat.bottom], [lat.top], list(lat.atoms()) + [lat.top],
+                       [lat.bottom] + list(lat.coatoms())] + all_crosscuts(lat)
+            subsets += [rng.sample(els, rng.randint(1, 6)) for _ in range(150)]
+            for subset in subsets:
+                got = is_crosscut(lat, subset)
+                assert got == reference(lat, subset)
+                antichain = not any(lat.lt(a, b) for a in subset for b in subset)
+                seen.add((got, antichain))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_no_route_lists_the_maximal_chains(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("maximal_chains was called")
+
+        monkeypatch.setattr(FiniteLattice, "maximal_chains", refuse)
+        rng = random.Random(3)
+        for lat in (boolean_lattice(3), partition_lattice(4)):
+            mu = mobius(lat)
+            cuts = all_crosscuts(lat)
+            assert cuts
+            for cut in cuts:
+                cc = Crosscut(lat, cut, _random_precedence(rng, cut))
+                assert rota_crosscut(lat, cc) == blass_sagan_mobius(lat, cc) == mu
+
+
+class TestPartitionLatticeCap:
+    def test_negative_n_is_a_precondition(self):
+        with pytest.raises(PreconditionError, match="n >= 0, got -1"):
+            partition_lattice(-1)
+
+    def test_pi7_coatom_crosscut(self):
+        pi7 = partition_lattice(7)
+        assert len(pi7) == 877
+        assert mobius(pi7) == 720
+        coatoms = pi7.coatoms()
+        assert len(coatoms) == 63
+        cc = Crosscut(pi7, coatoms)
+        assert rota_crosscut(pi7, cc) == 720
+        with pytest.raises(CapExceeded, match="crosscut has 63 elements"):
+            blass_sagan_family(pi7, cc)
+
+    def test_bell_past_the_cap_refused_at_once(self):
+        import time
+
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r"Bell\(8\) elements; the cap is 1024"):
+            partition_lattice(8)
+        with pytest.raises(CapExceeded, match=r"Bell\(1000000\)"):
+            partition_lattice(10 ** 6)
+        assert time.perf_counter() - start < 0.1
+
+    def test_divisor_lattice_relies_on_the_lattice_cap(self):
+        d = divisor_lattice(720720)
+        assert len(d) == 240
+        assert mobius(d) == 0
