@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import io
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 
 def _emit(args, data):
@@ -107,7 +107,7 @@ def _matroid_beta(args, doc, matroids):
         for method in ("full", "broken_circuit", "derivative")
     }
     if len(set(values.values())) != 1:
-        raise RuntimeError(f"beta methods disagree: {values}")
+        raise CrossCheckFailed(f"beta methods disagree: {values}")
     return {"beta": values["full"], "methods": values}
 
 
@@ -385,6 +385,9 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
+    except CrossCheckFailed as exc:
+        print(f"internal cross-check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

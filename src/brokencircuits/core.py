@@ -25,7 +25,7 @@ import itertools
 from math import comb
 from operator import itemgetter
 
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 DEFAULT_ENUMERATION_CAP = 24
 CANCELLATION_CAP = 18
@@ -341,9 +341,11 @@ def _signed_fold(n, start, include, key, broken=()):
     The state of the empty set is ``start``; including position i in a
     subset whose positions all lie below i maps its state s to
     ``include(i, s)``.  The subsets are visited in the order of
-    iter_avoiding_masks and include runs once per nonempty avoiding subset,
-    so callers build their polynomial or number once from the histogram and
-    never evaluate f(A) per subset.
+    iter_avoiding_masks and include runs once per nonempty avoiding subset.
+    ``_image_fold`` gives the same histogram, zero counts dropped, from the
+    distinct states; this subset walk stays for states that never repeat,
+    as in ``matroids.broken_circuit_counts``, whose include checks each
+    whole subset for independence.
 
     Positions below one past the largest maximum of a broken mask are
     walked on an explicit stack that also carries the subset's mask, with
@@ -391,35 +393,72 @@ def _signed_fold(n, start, include, key, broken=()):
     return hist
 
 
-def _image_fold(n, start, include, key, settle=None):
-    """The nonzero entries of ``_signed_fold(n, start, include, key)``, swept
-    level by level over distinct states instead of subsets: position i adds
-    each state's signed count, negated, at ``include(i, state)``, and states
-    that cancel are dropped.  The work is the sum of the distinct states per
-    level, n times a small image (a gcd, lcm, hull or neighbourhood union).
+def _image_fold(n, start, include, key, settle=None, broken=()):
+    """The nonzero entries of ``_signed_fold(n, start, include, key, broken)``,
+    swept level by level over distinct states instead of subsets: position
+    i adds each state's signed count, negated, at ``include(i, state)``, and
+    states that cancel are dropped.  The work is the sum of the distinct
+    states per level, n times a small image (a gcd, lcm, hull, neighbourhood
+    union or frontier partition).
 
     ``settle(i, state)``, when given, maps every state after position i,
     both the subsets that take i and those that do not.  It forgets what no
     later position can read, so states that differ only there become one;
     ``key`` must not depend on what it forgets.
+
+    The states are grouped by a flag word, one bit per distinct (prefix,
+    maximum) pair of the minimal ``broken`` masks, set while every prefix
+    position decided so far was taken: leaving out p clears the bits of
+    the prefixes that hold p, a group whose bits for maximum i are still
+    set cannot take i, and after position i those bits are cleared, so the
+    groups merge again.  Without masks there is one group, flag word 0.
+    ``include``, ``settle`` and ``key`` see only the caller's state.  An
+    empty mask leaves no subset.
     """
-    level = {start: 1}
+    minimal = []
+    for m in sorted(set(broken), key=int.bit_count):
+        if all(m & b != b for b in minimal):
+            minimal.append(m)
+    by_max, _ = _prefixes_by_max(n, minimal)
+    if by_max is None:
+        return {}
+    pairs = [(top, prefix) for top, prefixes in enumerate(by_max) for prefix in prefixes]
+    # per position: the bits of the pairs with that maximum, and of the prefixes that hold it
+    done = [sum(1 << k for k, (top, _) in enumerate(pairs) if top == i) for i in range(n)]
+    held = [sum(1 << k for k, (_, prefix) in enumerate(pairs) if prefix >> i & 1) for i in range(n)]
+    level = {(1 << len(pairs)) - 1: {start: 1}}
     for i in range(n):
-        nxt = level.copy()
-        get = nxt.get
-        for state, count in level.items():
-            image = include(i, state)
-            nxt[image] = get(image, 0) - count
-        if settle is not None:
-            nxt, unsettled = {}, nxt
-            for state, count in unsettled.items():
-                state = settle(i, state)
-                nxt[state] = nxt.get(state, 0) + count
-        level = {state: count for state, count in nxt.items() if count}
+        nxt = {}
+        dead, kept = done[i], ~(done[i] | held[i])
+        for flags, states in level.items():
+            left = nxt.setdefault(flags & kept, {})
+            if left:
+                for state, count in states.items():
+                    left[state] = left.get(state, 0) + count
+            else:
+                left.update(states)
+            # a group that may take i has its bits for maximum i cleared already
+            if not flags & dead:
+                taken = nxt.setdefault(flags, {})
+                get = taken.get
+                for state, count in states.items():
+                    image = include(i, state)
+                    taken[image] = get(image, 0) - count
+        level = {}
+        for flags, states in nxt.items():
+            if settle is not None:
+                states, unsettled = {}, states
+                for state, count in unsettled.items():
+                    state = settle(i, state)
+                    states[state] = states.get(state, 0) + count
+            states = {state: count for state, count in states.items() if count}
+            if states:
+                level[flags] = states
     hist = {}
-    for state, count in level.items():
-        k = key(state)
-        hist[k] = hist.get(k, 0) + count
+    for states in level.values():
+        for state, count in states.items():
+            k = key(state)
+            hist[k] = hist.get(k, 0) + count
     return {k: count for k, count in hist.items() if count}
 
 
@@ -458,32 +497,17 @@ def _block_settler(n, last, blank):
 
 def _component_histogram(n_vertices, edges, broken=()):
     """Signed histogram {c(V, A): sum of (-1)^|A|} over the edge subsets A
-    that include none of the ``broken`` edge masks.
+    that include none of the ``broken`` edge masks, with zero counts dropped.
 
-    ``edges`` lists each edge as a tuple of vertex indices.  The state is
-    the component count plus a string holding one character per vertex, so
-    merging two components is one ``str.replace``.  With broken masks every
-    avoiding subset is folded, each vertex holding its root.  Without, the
-    sum is swept over frontier partitions: a block is named by its smallest
-    live vertex, and a vertex is settled after its last edge, since it can
-    no longer change the count (Sekine, Imai and Tani, "Computing the Tutte
-    polynomial of a graph of moderate size", ISAAC 1995).  The histogram
-    then holds only nonzero counts.
+    ``edges`` lists each edge as a tuple of vertex indices.  The sum is
+    swept over frontier partitions: the state is the component count plus
+    a string holding one character per vertex, naming its block by its
+    smallest live vertex, so merging two blocks is one ``str.replace``, and
+    a vertex is settled after its last edge, since it can no longer change
+    the count (Sekine, Imai and Tani, "Computing the Tutte polynomial of a
+    graph of moderate size", ISAAC 1995).
     """
     start = (n_vertices, "".join(map(chr, range(n_vertices))))
-    if broken:
-        def include(pos, state):
-            count, roots = state
-            vs = edges[pos]
-            first = roots[vs[0]]
-            for v in vs:
-                r = roots[v]
-                if r != first:
-                    roots = roots.replace(r, first)
-                    count -= 1
-            return count, roots
-
-        return _signed_fold(len(edges), start, include, itemgetter(0), broken)
 
     def merge(pos, state):
         count, labels = state
@@ -498,7 +522,7 @@ def _component_histogram(n_vertices, edges, broken=()):
 
     last = {v: pos for pos, vs in enumerate(edges) for v in vs}
     settle = _block_settler(len(edges), last, chr(n_vertices))
-    return _image_fold(len(edges), start, merge, itemgetter(0), settle)
+    return _image_fold(len(edges), start, merge, itemgetter(0), settle, broken)
 
 
 def _component_count(n_vertices, edges):
@@ -830,7 +854,7 @@ def maxmin_identity(values, k):
             lhs = term if lhs is None else lhs + term
     rhs = comb(n - 1, k - 1) * max(vals)
     if lhs != rhs:
-        raise RuntimeError(f"maximum-minimums identity failed: {lhs!r} != {rhs!r}")
+        raise CrossCheckFailed(f"maximum-minimums identity failed: {lhs!r} != {rhs!r}")
     return lhs, rhs
 
 
@@ -907,7 +931,7 @@ def restricted_union_size(family, broken, witnesses):
     value = sum_pruned(_intersection_size_function(family), ground, broken)
     direct = len(family.union_all())
     if value != direct:
-        raise RuntimeError(
+        raise CrossCheckFailed(
             f"restricted inclusion-exclusion mismatch: {value} != union size {direct}"
         )
     return value
@@ -936,7 +960,7 @@ def narushima_union(poset, family):
     total = _group_sum(map(f, poset.chain_subsets()), f.zero)
     direct = len(family.union_all())
     if total != direct:
-        raise RuntimeError(
+        raise CrossCheckFailed(
             f"chain-restricted inclusion-exclusion mismatch: {total} != union size {direct}"
         )
     return total

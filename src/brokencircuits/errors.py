@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: schema errors exit 2, cap overruns
-exit 3, violated mathematical preconditions exit 4.
+exit 3, violated mathematical preconditions exit 4, and failed internal
+cross-checks exit 5.
 """
 
 
@@ -11,6 +12,10 @@ class SchemaError(ValueError):
 
 class CapExceeded(RuntimeError):
     """An enumeration would exceed the configured desk-scale cap."""
+
+
+class CrossCheckFailed(RuntimeError):
+    """Two independent routes to the same value disagree: a defect, not bad input."""
 
 
 class PreconditionError(ValueError):

@@ -27,7 +27,7 @@ from .core import (
     iter_avoiding_masks,
     sum_full,
 )
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 CLOSURE_CAP = 20
 
@@ -196,7 +196,7 @@ def reduce_to_free_sets(f, geometry):
     full = sum_full(f, ground)
     free_sum = _group_sum(map(fm, sorted(free)), zero)
     if full != free_sum:
-        raise RuntimeError("free-set reduction mismatch after validation")
+        raise CrossCheckFailed("free-set reduction mismatch after validation")
     return full, free_sum
 
 
@@ -212,7 +212,7 @@ def count_free_signed(geometry):
     total = sum(-count if size & 1 else count for size, count in hist.items())
     expected = len(geometry.free_mask_set())
     if total != expected:
-        raise RuntimeError(f"signed free count {total} differs from {expected}")
+        raise CrossCheckFailed(f"signed free count {total} differs from {expected}")
     return total
 
 
@@ -228,7 +228,7 @@ def euler_characteristic_free(geometry):
         raise PreconditionError("the empty set is not closed")
     total = sum(1 if mask.bit_count() & 1 else -1 for mask in geometry.free_mask_set() if mask)
     if total != 1:
-        raise RuntimeError(f"free-complex Euler characteristic is {total}, not 1")
+        raise CrossCheckFailed(f"free-complex Euler characteristic is {total}, not 1")
     return total
 
 
@@ -267,7 +267,7 @@ def closure_from_circuits(ground, family):
     geometry = ConvexGeometry(ClosureSystem(ground, closed))
     avoiding = set(iter_avoiding_masks(ground, [bc.subset for bc in broken]))
     if geometry.free_mask_set() != avoiding:
-        raise RuntimeError("free sets differ from the broken-circuit-avoiding subsets")
+        raise CrossCheckFailed("free sets differ from the broken-circuit-avoiding subsets")
     return geometry
 
 

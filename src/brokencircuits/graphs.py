@@ -27,11 +27,10 @@ from .core import (
     _component_count,
     _component_histogram,
     _image_fold,
-    _signed_fold,
     derive_broken_circuits,
     enumerate_avoiding,
 )
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 CYCLE_CAP = 20
 
@@ -140,33 +139,10 @@ class Graph:
                 frontier |= new
         return count, (closed_degrees - vertex_mask.bit_count()) // 2
 
-    def _induced_fold(self, key, broken=()):
-        """Signed histogram {key(components of G[A]): sum of (-1)^|A|} over
-        the vertex subsets A that include none of the ``broken`` vertex masks.
-
-        The state is the tuple of component vertex masks; including vertex
-        i merges i with every component that meets N[i].
-        """
-        nmask = self._nmask
-
-        def include(i, comps):
-            bit = 1 << i
-            nb = nmask[bit]
-            merged = bit
-            keep = []
-            for c in comps:
-                if c & nb:
-                    merged |= c
-                else:
-                    keep.append(c)
-            keep.append(merged)
-            return tuple(keep)
-
-        return _signed_fold(len(self.vertices), (), include, key, broken)
-
-    def _induced_sweep(self, weight=0):
-        """Signed histogram {weight * |A| + c(G[A]): sum of (-1)^|A|} over all
-        vertex subsets A, with zero counts dropped.
+    def _induced_sweep(self, weight=0, broken=()):
+        """Signed histogram {weight * |A| + c(G[A]): sum of (-1)^|A|} over the
+        vertex subsets A that include none of the ``broken`` vertex masks,
+        with zero counts dropped.
 
         Swept over frontier partitions (``core._image_fold``): vertex i is
         decided at position i, and the state is the statistic so far plus
@@ -192,9 +168,18 @@ class Graph:
                     labels = labels.replace(name, low)
             return stat + weight + 1 - len(names), labels[:i] + low + labels[i + 1:]
 
-        last = {v: max(self._adj[v] | {v}) for v in range(n)}
+        last = {v: i for i, m in enumerate(self._settled_masks()) for v in range(n) if m >> v & 1}
         return _image_fold(n, (0, blank * n), include, itemgetter(0),
-                           _block_settler(n, last, blank))
+                           _block_settler(n, last, blank), broken)
+
+    def _settled_masks(self):
+        """Per position i, the mask of the vertices v with max N[v] = i: once
+        i is decided, no later vertex is v or one of its neighbours.  The
+        frontier sweep, acyclic q and pruned domination all settle by it."""
+        settled = [0] * len(self.vertices)
+        for bit, closed in self._nmask.items():
+            settled[closed.bit_length() - 1] |= bit
+        return settled
 
     def induced_component_count(self, vertices):
         mask = 0
@@ -281,7 +266,7 @@ def _chromatic_from_counts(graph, counts):
     coeffs = [0] * (n + 1)
     for k, b in enumerate(counts):
         if b and k > n:
-            raise RuntimeError("broken-circuit-free subset larger than a spanning forest")
+            raise CrossCheckFailed("broken-circuit-free subset larger than a spanning forest")
         if k <= n:
             coeffs[n - k] = -b if k & 1 else b
     return IntPolynomial(coeffs)
@@ -371,16 +356,19 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
         ground = OrderedGroundSet(graph.vertices)
         broken = _broken_masks(ground, _vertex_broken_circuits(graph, ground, cycles))
         if method == "restricted":
-            hist = graph._induced_fold(len, broken)
+            hist = graph._induced_sweep(0, broken)
         else:
-            # the state is (A, |A| - m(G[A])); including i adds 1 - |N(i) & A|
+            # the state is (A on the unsettled vertices, |A| - m(G[A])); including i adds
+            # 1 - |N(i) & A|, and a vertex settles once it and its neighbours are decided
             nbs = [graph._nmask[1 << i] ^ (1 << i) for i in range(n)]
+            keep = [~m for m in graph._settled_masks()]
 
             def include(i, state):
                 a, exponent = state
                 return a | (1 << i), exponent + 1 - (nbs[i] & a).bit_count()
 
-            hist = _signed_fold(n, (0, 0), include, itemgetter(1), broken)
+            hist = _image_fold(n, (0, 0), include, itemgetter(1),
+                               lambda i, state: (state[0] & keep[i], state[1]), broken)
     coeffs = [0] * (n + 1)
     for c, count in hist.items():
         coeffs[c] = count
@@ -445,7 +433,15 @@ def domination_polynomial(graph, method="direct", broken=None):
                         f"{sorted(map(repr, b))} is not a broken neighbourhood of the graph"
                     )
         masks = _broken_masks(OrderedGroundSet(graph.vertices), broken)
-        hist = _signed_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count, masks)
+        # the state is N[A] on the unsettled vertices, with the count of the
+        # settled dominated ones in the bits above; v settles after max N[v]
+        settled = graph._settled_masks()
+
+        def settle(i, s):
+            done = s & settled[i]
+            return s - done + (done.bit_count() << n)
+
+        hist = _image_fold(n, 0, lambda i, s: s | nbs[i], lambda s: s >> n, settle, masks)
     else:
         raise SchemaError(f"unknown method {method!r}")
     # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j

@@ -24,7 +24,7 @@ from .core import (
     _component_histogram,
     derive_broken_circuits,
 )
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 GRID_CAP = 16
 
@@ -266,5 +266,5 @@ def grid_rectangle_hypergraph(rows, cols):
                 circuits.add(frozenset({a, b, edge_index[third]}))
     family = CircuitFamily(sorted(circuits, key=sorted))
     if len(family) and not is_self_covering_family(family, hg):
-        raise RuntimeError("grid circuits unexpectedly fail the self-covering condition")
+        raise CrossCheckFailed("grid circuits unexpectedly fail the self-covering condition")
     return hg, family

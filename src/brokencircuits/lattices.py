@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 
 from .core import CircuitFamily, FinitePoset, OrderedGroundSet, _Record, _bits, _broken_masks
-from .core import _image_fold, _signed_fold, derive_broken_circuits
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .core import _image_fold, derive_broken_circuits
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 CROSSCUT_CAP = 20
 LATTICE_CAP = 1024
@@ -253,7 +253,7 @@ def rota_crosscut(lattice, crosscut, drop_meet_condition=False):
     total = _image_fold(len(elements), *fold).get(True, 0)
     expected = mobius(lattice)
     if total != expected:
-        raise RuntimeError(f"crosscut sum {total} differs from mu(L) = {expected}")
+        raise CrossCheckFailed(f"crosscut sum {total} differs from mu(L) = {expected}")
     return total
 
 
@@ -331,9 +331,9 @@ def blass_sagan_mobius(
     by the reversed linear extension of the auxiliary order, so each
     circuit's minimum plays the maximum's role and the derived broken
     sets are exactly the prunable subsets.  Any subfamily of those may be
-    used; the kernel walks the subsets that avoid it, folding each one's
-    (join, meet) state.  The result is asserted equal to the recursive
-    Mobius value.
+    used; the kernel sweeps the distinct (join, meet) states of the
+    subsets that avoid it, as ``rota_crosscut`` does with no broken sets.
+    The result is asserted equal to the recursive Mobius value.
     """
     if family is None:
         family = blass_sagan_family(lattice, crosscut, drop_meet_bound=drop_meet_condition)
@@ -354,12 +354,12 @@ def blass_sagan_mobius(
         circuits = CircuitFamily([bs.circuit for bs in family])
         derived = {bc.subset for bc in derive_broken_circuits(circuits, ground)}
         if derived != set(broken_sets):
-            raise RuntimeError("dual-form bookkeeping failed: derived broken sets differ")
+            raise CrossCheckFailed("dual-form bookkeeping failed: derived broken sets differ")
     fold = _crosscut_fold(lattice, ground.elements, drop_meet_condition)
-    value = _signed_fold(len(ground), *fold, _broken_masks(ground, chosen)).get(True, 0)
+    value = _image_fold(len(ground), *fold, broken=_broken_masks(ground, chosen)).get(True, 0)
     expected = mobius(lattice)
     if value != expected:
-        raise RuntimeError(f"pruned crosscut sum {value} differs from mu(L) = {expected}")
+        raise CrossCheckFailed(f"pruned crosscut sum {value} differs from mu(L) = {expected}")
     return value
 
 

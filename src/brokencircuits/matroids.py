@@ -15,7 +15,7 @@ import itertools
 
 from .algebra import IntPolynomial
 from .core import CircuitFamily, OrderedGroundSet, _broken_masks, _image_fold, _signed_fold, derive_broken_circuits
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 AXIOM_CAP = 12
 # the rank sums and their broken-circuit forms are offered up to this size
@@ -181,7 +181,7 @@ def broken_circuit_counts(matroid):
         t = acc | (1 << i)
         for cm in by_max[i]:
             if cm & t == cm:
-                raise RuntimeError("broken-circuit-free subset is dependent")
+                raise CrossCheckFailed("broken-circuit-free subset is dependent")
         return t
 
     counts = [0] * (len(matroid.elements) + 1)
@@ -217,7 +217,7 @@ def _characteristic_from_counts(matroid, counts):
     coeffs = [0] * (re + 1)
     for k, b in enumerate(counts):
         if b and k > re:
-            raise RuntimeError("independent subset larger than the rank")
+            raise CrossCheckFailed("independent subset larger than the rank")
         if k <= re:
             coeffs[re - k] = -b if k & 1 else b
     return IntPolynomial(coeffs)

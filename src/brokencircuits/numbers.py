@@ -15,7 +15,7 @@ import threading
 from fractions import Fraction
 
 from .core import FinitePoset, _image_fold
-from .errors import CapExceeded, PreconditionError, SchemaError
+from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 FACTOR_CAP = 10**6
 SUBSET_CAP = 22
@@ -200,7 +200,7 @@ def gcd_expansion(n, variant="gcd", modified_domain=False):
         else:
             chain = (value, _signed_lcm_sum(primes, n), over_primes_star, _signed_gcd_sum(star), mu)
     if len(set(chain)) != 1:
-        raise RuntimeError(f"expansion chain disagrees: {chain}")
+        raise CrossCheckFailed(f"expansion chain disagrees: {chain}")
     return value
 
 
@@ -315,7 +315,7 @@ def totient(n, h=None, method="all", modified_domain=False):
             n, h, modified_domain=modified_domain
         )
     if len(set(results.values())) != 1:
-        raise RuntimeError(f"totient methods disagree: {results}")
+        raise CrossCheckFailed(f"totient methods disagree: {results}")
     lhs = Fraction(1)
     for p in prime_factors(n):
         lhs *= 1 - Fraction(1) / h(p)
@@ -324,7 +324,7 @@ def totient(n, h=None, method="all", modified_domain=False):
         Fraction(0),
     )
     if lhs != rhs:
-        raise RuntimeError("mu(d)/h(d) divisor identity failed")
+        raise CrossCheckFailed("mu(d)/h(d) divisor identity failed")
     return value
 
 
@@ -391,7 +391,7 @@ def dirichlet_inverse_totient(n, h=None, method="all", modified_domain=False):
     if modified_domain or not prime:
         results["subset_sum"] = inverse_subset_sum(n, h, modified_domain=modified_domain)
     if len(set(results.values())) != 1:
-        raise RuntimeError(f"Dirichlet inverse methods disagree: {results}")
+        raise CrossCheckFailed(f"Dirichlet inverse methods disagree: {results}")
     return value
 
 

@@ -402,6 +402,43 @@ class TestExitCodes:
         code, _, err = run(capsys, "compute", "nonsense", "--n", "3")
         assert code == 2
 
+    def test_cross_check_failure_exits_5(self, tmp_path, capsys, monkeypatch):
+        from brokencircuits import lattices
+        from brokencircuits.errors import CrossCheckFailed
+
+        # an engine whose recursive Mobius value disagrees with the crosscut sum
+        monkeypatch.setattr(lattices, "mobius", lambda lattice: 7)
+        square = {"kind": "lattice", "elements": [0, 1, 2, 3], "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}
+        crosscut = write(tmp_path, "cc.json", {"kind": "crosscut", "lattice": square, "crosscut": [1, 2]})
+        for kind in ("lattice-crosscut", "lattice-blass-sagan"):
+            code, out, err = run(capsys, "compute", kind, crosscut)
+            assert (code, out) == (5, None), kind
+            assert err.startswith("internal cross-check failed: ") and err.count("\n") == 1, err
+            assert "differs from mu(L) = 7" in err
+        # a disagreement found by the CLI itself, between the beta routes
+        monkeypatch.setattr(matroids, "beta_invariant", lambda m, method: len(method))
+        path = write(tmp_path, "u24.json", {"kind": "matroid", "uniform": [2, 4]})
+        code, out, err = run(capsys, "compute", "matroid-beta", path)
+        assert (code, out) == (5, None)
+        assert "beta methods disagree" in err and err.count("\n") == 1
+        # verify reports a failed cross-check as a failed check, exit 1
+        def disagreeing(rng):
+            raise CrossCheckFailed("injected disagreement")
+
+        monkeypatch.setitem(verify.SUITES, "algebra", [("algebra/injected", disagreeing)])
+        code, _, _ = run(capsys, "verify", "algebra")
+        assert code == 1
+        # a fresh process prints no traceback either
+        script = (
+            "import sys; from brokencircuits import cli, lattices\n"
+            "lattices.mobius = lambda lattice: 7\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = cli_process("compute", "lattice-crosscut", crosscut, script=script)
+        assert proc.returncode == 5
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert issubclass(CrossCheckFailed, RuntimeError)
+
     def test_compute_has_no_m_option(self):
         # --m was parsed and ignored by every compute kind; it is now an
         # ambiguous prefix of --method and --modified-domain

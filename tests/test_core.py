@@ -438,13 +438,14 @@ def test_signed_fold_matches_per_mask_states(n):
     edges = [
         tuple(rng.randrange(n_vertices) for _ in range(rng.randint(1, 3))) for _ in range(n)
     ]
-    # unpruned, the histogram is swept and keeps only nonzero counts
+    # pruned or not, the histogram is swept and keeps only nonzero counts
     got = _component_histogram(n_vertices, edges)
     brute = _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m))
     assert got == {c: count for c, count in brute.items() if count}
     broken = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))] if n else []
     got = _component_histogram(n_vertices, edges, broken)
-    assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m), broken)
+    brute = _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m), broken)
+    assert got == {c: count for c, count in brute.items() if count}
 
 
 def _fold_families(rng, n):
@@ -600,12 +601,12 @@ def test_sweep_states_name_each_block_by_its_smallest_live_vertex(monkeypatch):
     fold = core._image_fold
     states = []
 
-    def recording(n, start, include, key, settle=None):
+    def recording(n, start, include, key, settle=None, broken=()):
         def step(i, state):
             states.append(state)
             return include(i, state)
 
-        return fold(n, start, step, key, settle)
+        return fold(n, start, step, key, settle, broken)
 
     monkeypatch.setattr(core, "_image_fold", recording)
     monkeypatch.setattr(graphs, "_image_fold", recording)
@@ -689,6 +690,39 @@ def test_image_fold_settle_runs_on_both_branches():
     assert swept == folded
     # position 0 settles the start state and its image
     assert [s for i, s in seen if i == 0] == [0, ors[0]]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_image_fold_with_broken_masks_matches_signed_fold_and_brute_force(n):
+    # the flagged sweep against the subset walk and a per-mask filter, with
+    # and without a settle hook that forgets the low bits of an OR state
+    from brokencircuits.core import _image_fold, _signed_fold
+
+    rng = random.Random(5000 + n)
+    ors = [rng.getrandbits(6) for _ in range(n)]
+    ints = [rng.choice([2, 3, 4, 6, 9, 10, 12, 15, 30, 36]) for _ in range(n)]
+    keep = [0x3F ^ ((1 << (i // 2 + 1)) - 1) for i in range(n)]
+    high = keep[-1] if n else 0x3F
+    cases = [
+        (0, lambda i, s: s | ors[i], lambda s: s, None, lambda m: _over(ors, int.__or__, m)),
+        (0, lambda i, s: s | ors[i], lambda s: s & high, lambda i, s: s & keep[i],
+         lambda m: _over(ors, int.__or__, m) & high),
+        (0, lambda i, g: math.gcd(g, ints[i]), lambda g: g, None, lambda m: _over(ints, math.gcd, m)),
+        (0, lambda i, mask: mask | 1 << i, lambda mask: mask, None, lambda m: m),
+    ]
+    families = _fold_families(rng, n)
+    if n:
+        # duplicates, a mask that includes another, and every singleton
+        dup = 1 << rng.randrange(n) | 1 << (n - 1)
+        families += [[dup, dup, dup | 1], [1 << p for p in range(n)]]
+    for broken in families:
+        for start, include, key, settle, state_of_mask in cases:
+            folded = {k: c for k, c in _signed_fold(n, start, include, key, broken).items() if c}
+            brute = {k: c for k, c in _brute_fold(n, state_of_mask, broken).items() if c}
+            assert _image_fold(n, start, include, key, settle, broken) == folded == brute, broken
+        if 0 in broken:
+            assert _image_fold(n, 0, lambda i, s: s, lambda s: s, None, broken) == {}
+    assert _image_fold(0, 7, None, lambda s: s, None, [0]) == {}
 
 
 def test_chain_subsets_match_recursive_walk():

@@ -271,8 +271,8 @@ class TestSubgraphComponents:
 
     @pytest.mark.parametrize("method", ["restricted", "acyclic"])
     def test_pruned_routes_refuse_more_than_20_vertices(self, monkeypatch, method):
-        # isolated vertices leave no broken sets, so the pruned routes would
-        # fold all 2^|V| subsets; they are refused up front like direct
+        # the 20-vertex cap holds on every method: refused up front like
+        # direct, before the cycles are listed
         import brokencircuits.graphs as mod
 
         def no_listing(*args):
@@ -287,8 +287,8 @@ class TestSubgraphComponents:
         import brokencircuits.graphs as mod
 
         folds = []
-        monkeypatch.setattr(Graph, "_induced_fold", lambda self, *args: folds.append(args) or {0: 1})
-        monkeypatch.setattr(mod, "_signed_fold", lambda *args: folds.append(args) or {0: 1})
+        monkeypatch.setattr(Graph, "_induced_sweep", lambda self, *args: folds.append(args) or {0: 1})
+        monkeypatch.setattr(mod, "_image_fold", lambda *args: folds.append(args) or {0: 1})
         assert q_at_minus_one(Graph(range(20), []), method) == poly(1)
         assert len(folds) == 1
 
@@ -416,8 +416,8 @@ def grid_graph(rows, cols):
 
 
 class TestSettledSweeps:
-    """The full component sums are swept over frontier partitions; the
-    references are the subset folds and networkx."""
+    """The component sums, full and pruned, are swept over frontier
+    partitions; the references are per-subset counts and networkx."""
 
     def test_induced_sweep_matches_fold_and_networkx(self):
         rng = random.Random(51)
@@ -427,9 +427,14 @@ class TestSettledSweeps:
             graphs.append(random_graph(rng, rng.randint(1, 12), rng.choice((0.15, 0.3, 0.6))))
         for k, g in enumerate(graphs):
             n = len(g.vertices)
-            folded = g._induced_fold(len)
-            assert g._induced_sweep() == {c: count for c, count in folded.items() if count}, g.edges
-            sized = g._induced_fold(lambda comps: (n + 1) * sum(c.bit_count() for c in comps) + len(comps))
+            counted, sized = {}, {}
+            for mask in range(1 << n):
+                c = g._induced_stats_of_mask(mask)[0]
+                sign = -1 if mask.bit_count() & 1 else 1
+                counted[c] = counted.get(c, 0) + sign
+                stat = (n + 1) * mask.bit_count() + c
+                sized[stat] = sized.get(stat, 0) + sign
+            assert g._induced_sweep() == {c: count for c, count in counted.items() if count}, g.edges
             assert g._induced_sweep(n + 1) == sized, g.edges
             if k % 4 == 0:
                 nxg = nx.Graph()
@@ -447,12 +452,12 @@ class TestSettledSweeps:
         fold = module._image_fold
         calls = []
 
-        def counted(n, start, include, key, settle=None):
+        def counted(n, start, include, key, settle=None, broken=()):
             def step(i, state):
                 calls.append(i)
                 return include(i, state)
 
-            return fold(n, start, step, key, settle)
+            return fold(n, start, step, key, settle, broken)
 
         monkeypatch.setattr(module, "_image_fold", counted)
         run()
@@ -472,6 +477,26 @@ class TestSettledSweeps:
         calls = self.include_calls(monkeypatch, graphs, lambda: q_at_minus_one(c16, "direct"))
         assert calls <= 400 < (1 << 16) - 1
         assert q_at_minus_one(c16, "direct") == q_at_minus_one(c16, "restricted")
+
+    def test_pruned_include_counts(self, monkeypatch):
+        # deterministic work pins: the subset walk made one call per nonempty
+        # avoiding subset (65,533 for restricted C16, 1,048,573 on C20, 49,151
+        # for pruned domination on C16 and 7,721 on the 3x4 rectangle grid)
+        from brokencircuits import core, graphs
+        from brokencircuits.hypergraphs import grid_rectangle_hypergraph, hypergraph_chromatic
+
+        c16, c20 = Graph.cycle(16), Graph.cycle(20)
+        for method in ("restricted", "acyclic"):
+            calls = self.include_calls(monkeypatch, graphs, lambda: q_at_minus_one(c16, method))
+            assert calls <= 400, method
+        calls = self.include_calls(monkeypatch, graphs, lambda: domination_polynomial(c16, "pruned"))
+        assert calls <= 1000
+        calls = self.include_calls(monkeypatch, graphs, lambda: q_at_minus_one(c20, "restricted"))
+        assert calls <= 600
+        grid, family = grid_rectangle_hypergraph(3, 4)
+        calls = self.include_calls(monkeypatch, core,
+                                   lambda: hypergraph_chromatic(grid, "restricted", family))
+        assert calls <= 2000
 
 
 class TestDegree1Upset:
@@ -612,6 +637,58 @@ class TestFoldedPrunedRoutes:
             assert got == IntPolynomial(expected), g.edges
             assert got == domination_polynomial(g, "direct"), g.edges
             built += 1
+
+    def test_pruned_sweeps_match_per_subset_brute_force(self):
+        # restricted and acyclic q and pruned domination, each against its own
+        # statistic evaluated on every subset that the pruning walk yields
+        from brokencircuits.core import OrderedGroundSet, iter_avoiding_masks
+        from brokencircuits.graphs import vertex_broken_circuits
+
+        def pruned_domination(g, broken):
+            n = len(g.vertices)
+            expected = [0] * (n + 1)
+            for mask in iter_avoiding_masks(OrderedGroundSet(g.vertices), broken):
+                j = n - _closed_mask(g, mask).bit_count()
+                for i in range(j + 1):
+                    expected[i] += (-1 if mask.bit_count() & 1 else 1) * comb(j, i)
+            assert domination_polynomial(g, "pruned", broken=broken) == IntPolynomial(expected), g.edges
+
+        rng = random.Random(53)
+        checked = {"q": 0, "domination": 0, "subfamily": 0}
+        while min(checked.values()) < 100:
+            g = random_graph(rng, rng.randint(1, 10), rng.choice((0.15, 0.25, 0.4)))
+            n = len(g.vertices)
+            if len(g.edges) <= 16 and is_cyclically_claw_free(g):
+                restricted, acyclic = [0] * (n + 1), [0] * (n + 1)
+                for mask in iter_avoiding_masks(OrderedGroundSet(g.vertices), vertex_broken_circuits(g)):
+                    sign = -1 if mask.bit_count() & 1 else 1
+                    components, edges = g._induced_stats_of_mask(mask)
+                    restricted[components] += sign
+                    acyclic[mask.bit_count() - edges] += sign
+                assert q_at_minus_one(g, "restricted") == IntPolynomial(restricted), g.edges
+                assert q_at_minus_one(g, "acyclic") == IntPolynomial(acyclic), g.edges
+                checked["q"] += 1
+            if all(g._adj):
+                derived = broken_neighbourhoods(g)
+                pruned_domination(g, derived)
+                pruned_domination(g, rng.sample(derived, rng.randint(0, len(derived))))
+                checked["domination"] += 1
+            try:
+                reordered, pendants = degree1_upset_order(g)
+            except PreconditionError:
+                continue
+            if pendants:
+                pruned_domination(reordered, pendants)
+                checked["subfamily"] += 1
+
+
+def _closed_mask(graph, vertex_mask):
+    """N[A] of a vertex bitmask, from the closed neighbourhood of each vertex."""
+    closed = 0
+    for i in range(len(graph.vertices)):
+        if vertex_mask >> i & 1:
+            closed |= graph._nmask[1 << i]
+    return closed
 
 
 def _recursive_cycles(graph):

@@ -13,7 +13,7 @@ HOMES = {
         "narushima_union", "restricted_union_size", "sum_full", "sum_over_chains",
         "sum_over_maxima", "sum_pruned", "verify_cancellation",
     ],
-    "errors": ["CapExceeded", "PreconditionError", "SchemaError"],
+    "errors": ["CapExceeded", "CrossCheckFailed", "PreconditionError", "SchemaError"],
     "geometry": ["ClosureSystem", "ConvexGeometry"],
     "graphs": ["Graph"],
     "hypergraphs": ["Hypergraph"],
