@@ -5,7 +5,8 @@ parameters) to the matching engine and prints a result document;
 ``verify`` runs the property-check corpus; ``generate`` emits instance
 files from the built-in generators.  Stdout carries JSON only; human
 messages go to stderr.  Exit codes: 0 success, 1 failed checks, 2 schema
-error, 3 cap exceeded, 4 precondition violation.
+error, 3 cap exceeded, 4 precondition violation, 5 failed internal
+cross-check (``CrossCheckFailed``).
 
 A table names each kind's engine module, imported when the kind runs, so
 a process loads only the engine it uses.
@@ -157,7 +158,7 @@ def _whitney_sum(args, doc, core):
             raise PreconditionError(f"{sorted(map(repr, b))} is not a broken circuit of the given family")
     cancellation = "asserted"
     report = None
-    if len(ground) <= (args.cap_elements or core.CANCELLATION_CAP):
+    if len(ground) <= core.CANCELLATION_CAP:
         report = core.verify_cancellation(f, circuits, ground)
         cancellation = "verified" if report.ok else "violated"
     pruned = core.sum_pruned(f, ground, chosen)
@@ -348,7 +349,6 @@ def build_parser():
     pc.add_argument("--h")
     pc.add_argument("--modified-domain", dest="modified_domain", action="store_true")
     pc.add_argument("--permute-order", dest="permute_order")
-    pc.add_argument("--cap-elements", dest="cap_elements", type=int)
     pc.add_argument("--json", action="store_true", help="pretty-print the output")
     pc.set_defaults(fn=_cmd_compute)
 

@@ -334,72 +334,20 @@ def iter_avoiding_masks(ground, broken):
             yield acc | s
 
 
-def _signed_fold(n, start, include, key, broken=()):
+def _image_fold(n, start, include, key, settle=None, broken=()):
     """Signed histogram {key(s_A): sum of (-1)^|A|} over the subsets A of
-    positions 0..n-1 that include none of the ``broken`` masks.
+    positions 0..n-1 that include none of the ``broken`` masks, zero
+    counts dropped.
 
     The state of the empty set is ``start``; including position i in a
     subset whose positions all lie below i maps its state s to
-    ``include(i, s)``.  The subsets are visited in the order of
-    iter_avoiding_masks and include runs once per nonempty avoiding subset.
-    ``_image_fold`` gives the same histogram, zero counts dropped, from the
-    distinct states; this subset walk stays for states that never repeat,
-    as in ``matroids.broken_circuit_counts``, whose include checks each
-    whole subset for independence.
-
-    Positions below one past the largest maximum of a broken mask are
-    walked on an explicit stack that also carries the subset's mask, with
-    the by-maximum prefix test of iter_avoiding_masks.  From each surviving
-    prefix the remaining positions form a full cube, folded on a second
-    stack of at most n pending states, with both leaves of the last
-    position taken without a push.  With no broken masks the first walk is
-    a single entry and the cube is all 2^n subsets.  An empty broken mask
-    leaves no subset, and the histogram is empty.
-    """
-    by_max, end = _prefixes_by_max(n, broken)
-    if by_max is None:
-        return {}
-    hist = {}
-    get = hist.get
-    last = n - 1
-    prefixes = [(0, 0, start, 1)]
-    stack = []
-    pop = stack.pop
-    push = stack.append
-    while prefixes:
-        pos, acc, state, sign = prefixes.pop()
-        while pos < end:
-            for prefix in by_max[pos]:
-                if acc & prefix == prefix:
-                    break
-            else:
-                prefixes.append((pos + 1, acc | (1 << pos), include(pos, state), -sign))
-            pos += 1
-        if end > last:
-            k = key(state)
-            hist[k] = get(k, 0) + sign
-            continue
-        push((end, state, sign))
-        while stack:
-            pos, state, sign = pop()
-            while pos < last:
-                push((pos + 1, include(pos, state), -sign))
-                pos += 1
-            # both leaves below the last position, without a push
-            k = key(state)
-            hist[k] = get(k, 0) + sign
-            k = key(include(last, state))
-            hist[k] = get(k, 0) - sign
-    return hist
-
-
-def _image_fold(n, start, include, key, settle=None, broken=()):
-    """The nonzero entries of ``_signed_fold(n, start, include, key, broken)``,
-    swept level by level over distinct states instead of subsets: position
-    i adds each state's signed count, negated, at ``include(i, state)``, and
-    states that cancel are dropped.  The work is the sum of the distinct
-    states per level, n times a small image (a gcd, lcm, hull, neighbourhood
-    union or frontier partition).
+    ``include(i, s)``.  The sum is swept level by level over distinct
+    states instead of subsets: position i adds each state's signed count,
+    negated, at ``include(i, state)``, and states that cancel are dropped.
+    The work is the sum of the distinct states per level, n times a small
+    image (a gcd, lcm, hull, neighbourhood union or frontier partition),
+    and at most the avoiding subsets themselves when the state is the
+    subset, as in ``matroids.broken_circuit_counts``.
 
     ``settle(i, state)``, when given, maps every state after position i,
     both the subsets that take i and those that do not.  It forgets what no
@@ -747,26 +695,30 @@ class FinitePoset:
                     return False
         return True
 
+    def _pair_ground(self, comparable=False, elements=None):
+        """``(ground, pairs)`` for a sum pruned by pairs: ``elements``, by
+        default the linear extension, as a ground set with no element cap,
+        and the pairs of them, in ground order, that are incomparable, so
+        that the avoiding subsets are the chains, or with ``comparable`` the
+        comparable pairs, so that they are the antichains."""
+        elements = self.linear_extension() if elements is None else tuple(elements)
+        index = [self._index(e) for e in elements]
+        rows = [self._up[i] | self._down[i] for i in index]
+        pairs = [
+            frozenset((elements[a], elements[b]))
+            for a in range(len(index))
+            for b in range(a + 1, len(index))
+            if bool(rows[a] >> index[b] & 1) == comparable
+        ]
+        return OrderedGroundSet(elements, cap=len(elements)), pairs
+
     def chain_subsets(self):
-        """All chains (pairwise comparable subsets) as frozensets, empty set included."""
-        ext = self.linear_extension()
-        n = len(ext)
-        # depth-first, one pending position iterator per chain element
-        current = []
-        pending = [iter(range(n))]
-        yield frozenset()
-        while pending:
-            for j in pending[-1]:
-                e = ext[j]
-                if all(self.le(c, e) for c in current):
-                    current.append(e)
-                    yield frozenset(current)
-                    pending.append(iter(range(j + 1, n)))
-                    break
-            else:
-                pending.pop()
-                if pending:
-                    current.pop()
+        """All chains (pairwise comparable subsets) as frozensets, empty set
+        included: the subsets of the linear extension that include no
+        incomparable pair, in the order of ``iter_avoiding_masks``."""
+        ground, incomparable = self._pair_ground()
+        for mask in iter_avoiding_masks(ground, incomparable):
+            yield ground.subset_of(mask)
 
 
 class MaximaReduction(_Record):
@@ -778,62 +730,60 @@ def sum_over_maxima(f, poset, check=True):
     """Collapse the sum over all subsets to the subsets of maximal elements.
 
     Valid whenever f cancels across the larger element of every comparable
-    pair, with respect to some linear extension.  The cancellation is
-    verified exhaustively when the poset is small enough; a violation
-    raises, since the reduction would be meaningless.
+    pair, with respect to some linear extension: the broken sets are then
+    the non-maximal singletons.  The cancellation is verified exhaustively
+    when the poset is small enough; a violation raises, since the reduction
+    would be meaningless.
     """
-    ext = poset.linear_extension()
-    ground = OrderedGroundSet(ext)
-    maxima = [e for e in ext if e in set(poset.maximal_elements())]
-    subsets = (frozenset(c) for r in range(len(maxima) + 1) for c in itertools.combinations(maxima, r))
-    restricted = _group_sum(map(f, subsets), f.zero)
+    # every element may be maximal, so the sum keeps the element cap
+    ground = OrderedGroundSet(poset.linear_extension())
+    maximal = set(poset.maximal_elements())
+    restricted = sum_pruned(f, ground, [{a} for a in ground if a not in maximal])
     report = None
-    if check and len(ext) <= CANCELLATION_CAP:
-        pairs = [
-            frozenset((a, b))
-            for i, a in enumerate(ext)
-            for b in ext[i + 1 :]
-            if poset.lt(a, b) or poset.lt(b, a)
-        ]
-        if pairs:
-            report = verify_cancellation(f, CircuitFamily(pairs), ground)
+    if check and len(ground) <= CANCELLATION_CAP:
+        _, comparable = poset._pair_ground(comparable=True, elements=ground)
+        if comparable:
+            report = verify_cancellation(f, CircuitFamily(comparable), ground)
             if not report.ok:
                 raise PreconditionError(
                     "cancellation fails across the comparable pair "
                     f"{sorted(map(repr, report.circuit))} at {sorted(map(repr, report.superset))}"
                 )
-    full = sum_full(f, ground) if len(ext) <= FULL_SUM_FEASIBLE else None
+    full = sum_full(f, ground) if len(ground) <= FULL_SUM_FEASIBLE else None
     return MaximaReduction(restricted, full, report)
 
 
-def sum_over_chains(f, poset, check=True):
-    """Collapse the sum over all subsets to the chains of an upper semilattice.
-
-    Requires every pair to have a least upper bound; valid when f cancels
-    across s v t for every incomparable pair {s, t}.
-    """
+def _semilattice_joins(poset):
+    """The linear extension of an upper semilattice as a ground set, and a
+    dict from each incomparable pair {s, t}, in ground order, to s v t."""
     violation = poset.semilattice_violation()
     if violation is not None:
         a, b = violation
         raise PreconditionError(
             f"not an upper semilattice: {a!r} and {b!r} have no least upper bound"
         )
-    if check and len(poset) <= CANCELLATION_CAP:
-        triples = []
-        ext = poset.linear_extension()
-        for i, a in enumerate(ext):
-            for b in ext[i + 1 :]:
-                if not poset.comparable(a, b):
-                    triples.append(frozenset((a, b, poset.join(a, b))))
-        if triples:
-            ground = OrderedGroundSet(ext)
-            report = verify_cancellation(f, CircuitFamily(triples), ground)
-            if not report.ok:
-                raise PreconditionError(
-                    "cancellation fails across the join of "
-                    f"{sorted(map(repr, report.circuit))} at {sorted(map(repr, report.superset))}"
-                )
-    return _group_sum(map(f, poset.chain_subsets()), f.zero)
+    ground, incomparable = poset._pair_ground()
+    return ground, {pair: poset.join(*pair) for pair in incomparable}
+
+
+def sum_over_chains(f, poset, check=True):
+    """Collapse the sum over all subsets to the chains of an upper semilattice.
+
+    Requires every pair to have a least upper bound; valid when f cancels
+    across s v t for every incomparable pair {s, t}.  The circuits
+    {s, t, s v t} break into the incomparable pairs, whose avoiding subsets
+    are the chains.
+    """
+    ground, joins = _semilattice_joins(poset)
+    circuits = CircuitFamily(pair | {join} for pair, join in joins.items())
+    if check and len(ground) <= CANCELLATION_CAP:
+        report = verify_cancellation(f, circuits, ground)
+        if not report.ok:
+            raise PreconditionError(
+                "cancellation fails across the join of "
+                f"{sorted(map(repr, report.circuit))} at {sorted(map(repr, report.superset))}"
+            )
+    return sum_pruned(f, ground, derive_broken_circuits(circuits, ground))
 
 
 def maxmin_identity(values, k):
@@ -941,29 +891,11 @@ def narushima_union(poset, family):
     """|union of M_s| summing over the chains of an upper semilattice only.
 
     Prerequisite: M_s intersect M_t is contained in M_{s v t} for all s, t.
+    That is the witness condition of ``restricted_union_size`` with the
+    incomparable pairs as broken sets and s v t as the witness of {s, t}.
     """
-    violation = poset.semilattice_violation()
-    if violation is not None:
-        a, b = violation
-        raise PreconditionError(
-            f"not an upper semilattice: {a!r} and {b!r} have no least upper bound"
-        )
-    for i, s in enumerate(poset.elements):
-        for t in poset.elements[i + 1 :]:
-            j = poset.join(s, t)
-            if not family.sets[s] & family.sets[t] <= family.sets[j]:
-                raise PreconditionError(
-                    f"semilattice condition violated at {s!r}, {t!r}: "
-                    f"intersection not contained in the set of {j!r}"
-                )
-    f = _intersection_size_function(family)
-    total = _group_sum(map(f, poset.chain_subsets()), f.zero)
-    direct = len(family.union_all())
-    if total != direct:
-        raise CrossCheckFailed(
-            f"chain-restricted inclusion-exclusion mismatch: {total} != union size {direct}"
-        )
-    return total
+    ground, joins = _semilattice_joins(poset)
+    return restricted_union_size(IndexedSetFamily(ground, family.sets), joins.keys(), joins)
 
 
 def random_cancelling_instance(rng, size, value_kind="int", max_circuits=4):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .core import CircuitFamily, FinitePoset, OrderedGroundSet, _Record, _bits, _broken_masks
-from .core import _image_fold, derive_broken_circuits
+from .core import _image_fold, derive_broken_circuits, iter_avoiding_masks
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 CROSSCUT_CAP = 20
@@ -364,23 +364,20 @@ def blass_sagan_mobius(
 
 
 def all_crosscuts(lattice):
-    """Every crosscut, by exhaustive antichain search over the middle elements."""
-    middle = [lattice._idx[e] for e in lattice.middle()]
+    """Every crosscut: the nonempty antichains of middle elements (the
+    subsets that include no comparable pair, in the order of
+    ``iter_avoiding_masks``) that meet every maximal chain."""
+    middle = lattice.middle()
     if len(middle) > CROSSCUT_CAP:
         raise CapExceeded("crosscut search needs at most "
                           f"{CROSSCUT_CAP} middle elements")
-    up, down, elements = lattice._up, lattice._down, lattice.elements
+    ground, comparable = lattice._pair_ground(comparable=True, elements=middle)
+    bits = [1 << lattice._idx[e] for e in middle]
     found = []
-    # antichains of middle elements, exclusion first; inclusions wait on the stack
-    stack = [(0, (), 0)]
-    while stack:
-        idx, acc, mask = stack.pop()
-        for j in range(idx, len(middle)):
-            i = middle[j]
-            if not (up[i] | down[i]) & mask:
-                stack.append((j + 1, acc + (elements[i],), mask | 1 << i))
-        if acc and not _top_reachable(lattice, mask):
-            found.append(acc)
+    for mask in iter_avoiding_masks(ground, comparable):
+        positions = list(_bits(mask))
+        if positions and not _top_reachable(lattice, sum(bits[j] for j in positions)):
+            found.append(tuple(middle[j] for j in positions))
     return found
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import IntPolynomial
-from .core import CircuitFamily, OrderedGroundSet, _broken_masks, _image_fold, _signed_fold, derive_broken_circuits
+from .core import _image_fold
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 AXIOM_CAP = 12
@@ -168,13 +168,13 @@ class Matroid:
 def broken_circuit_counts(matroid):
     """b_k: number of k-subsets including no broken circuit of the matroid.
 
-    Every such subset is checked to be independent along the way: the walk
-    adds positions in increasing order, so a circuit inside a subset is
-    caught when its maximum is added, by testing only the circuits with
+    The broken circuits are the circuit masks with their top bit cleared.
+    Every counted subset is checked to be independent along the way: the
+    sweep adds positions in increasing order, so a circuit inside a subset
+    is caught when its maximum is added, by testing only the circuits with
     that maximum.
     """
-    ground = OrderedGroundSet(matroid.elements, cap=max(24, len(matroid.elements)))
-    broken = [bc.subset for bc in derive_broken_circuits(CircuitFamily(matroid.circuits), ground)] if matroid.circuits else []
+    broken = [cm ^ 1 << (cm.bit_length() - 1) for cm in matroid._circuit_masks]
     by_max = matroid._circuits_by_max
 
     def include(i, acc):
@@ -185,7 +185,7 @@ def broken_circuit_counts(matroid):
         return t
 
     counts = [0] * (len(matroid.elements) + 1)
-    hist = _signed_fold(len(matroid.elements), 0, include, int.bit_count, _broken_masks(ground, broken))
+    hist = _image_fold(len(matroid.elements), 0, include, int.bit_count, None, broken)
     for k, count in hist.items():
         # every subset under key k has k elements, so its count is |signed count|
         counts[k] = abs(count)

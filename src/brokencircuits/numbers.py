@@ -14,7 +14,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .core import FinitePoset, _image_fold
+from .core import _image_fold
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 FACTOR_CAP = 10**6
@@ -52,6 +52,10 @@ def factorize(n):
 
 def prime_factors(n):
     return tuple(sorted(factorize(n)))
+
+
+def _is_prime(n):
+    return n > 1 and prime_factors(n) == (n,)
 
 
 def divisors(n):
@@ -171,8 +175,7 @@ def gcd_expansion(n, variant="gcd", modified_domain=False):
     if n < 1:
         raise PreconditionError("n must be positive")
     lat = DivisorLattice(n)
-    prime = len(lat.prime_factors) == 1 and n in lat.prime_factors
-    if prime and not modified_domain:
+    if _is_prime(n) and not modified_domain:
         raise PreconditionError(
             "prime n leaves the prime support outside the open divisor interval; "
             "use the modified domain"
@@ -277,7 +280,7 @@ def totient_subset_sum(n, h=None, modified_domain=False, restrict=False):
     h = h or MultiplicativeFunction.identity()
     _require_totient_domain(n, h)
     divs = divisors(n)
-    if n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n) and not modified_domain:
+    if _is_prime(n) and not modified_domain:
         raise PreconditionError("prime n needs the modified domain")
     domain = [d for d in divs if d != n] if modified_domain else [
         d for d in divs if d not in (1, n)
@@ -309,8 +312,7 @@ def totient(n, h=None, method="all", modified_domain=False):
     value = totient_product(n, h)
     via_divisors = totient_divisor_sum(n, h)
     results = {"product": value, "divisor_sum": via_divisors}
-    prime = n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n)
-    if modified_domain or not prime:
+    if modified_domain or not _is_prime(n):
         results["subset_sum"] = h(n) - totient_subset_sum(
             n, h, modified_domain=modified_domain
         )
@@ -357,8 +359,7 @@ def inverse_subset_sum(n, h=None, modified_domain=False, restrict=False):
     """
     h = h or MultiplicativeFunction.identity()
     divs = divisors(n)
-    prime = n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n)
-    if prime and not modified_domain:
+    if _is_prime(n) and not modified_domain:
         raise PreconditionError("prime n needs the modified domain")
     domain = [d for d in divs if d != 1] if modified_domain else [
         d for d in divs if d not in (1, n)
@@ -387,8 +388,7 @@ def dirichlet_inverse_totient(n, h=None, method="all", modified_domain=False):
         raise SchemaError(f"unknown method {method!r}")
     value = inverse_product(n, h)
     results = {"product": value, "divisor_sum": inverse_divisor_sum(n, h)}
-    prime = n > 1 and len(prime_factors(n)) == 1 and n in prime_factors(n)
-    if modified_domain or not prime:
+    if modified_domain or not _is_prime(n):
         results["subset_sum"] = inverse_subset_sum(n, h, modified_domain=modified_domain)
     if len(set(results.values())) != 1:
         raise CrossCheckFailed(f"Dirichlet inverse methods disagree: {results}")
@@ -497,15 +497,15 @@ def bonferroni_all(complex_):
     return all(bonferroni_check(complex_, r) for r in range(1, complex_.dimension + 2))
 
 
-def _chain_sums(divs, stat):
-    """{stat(A): sum of (-1)^{|A|-1}} over the nonempty divisibility chains A
-    of divs, with a zero entry for every element of divs."""
-    sums = {d: 0 for d in divs}
-    poset = FinitePoset(divs, [(a, b) for a in divs for b in divs if b % a == 0])
-    for chain in poset.chain_subsets():
-        if chain:
-            sums[stat(chain)] += 1 if len(chain) & 1 else -1
-    return sums
+def _chain_sums(divs, start, op):
+    """{op-fold of A from start: sum of (-1)^{|A|-1}} over the nonempty
+    divisibility chains A of the increasing divs, one entry for every
+    element of divs.  One sweep of the op states, with the pairs that do
+    not divide each other as broken masks; start, the state of the empty
+    chain, is not in divs."""
+    apart = [1 << i | 1 << j for j in range(len(divs)) for i in range(j) if divs[j] % divs[i]]
+    hist = _image_fold(len(divs), start, lambda i, s: op(s, divs[i]), lambda s: s, None, apart)
+    return {d: -hist.get(d, 0) for d in divs}
 
 
 def chain_gcd_inner_sums(n):
@@ -517,7 +517,7 @@ def chain_gcd_inner_sums(n):
     divs = [d for d in divisors(n) if d != n]
     if len(divs) > CHAIN_CAP:
         raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
-    return _chain_sums(divs, gcd_all)
+    return _chain_sums(divs, 0, math.gcd)
 
 
 def chain_lcm_inner_sums(n):
@@ -529,4 +529,4 @@ def chain_lcm_inner_sums(n):
     divs = [d for d in divisors(n) if d != 1]
     if len(divs) > CHAIN_CAP:
         raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
-    return {d: -count for d, count in _chain_sums(divs, lcm_all).items()}
+    return {d: -count for d, count in _chain_sums(divs, 1, math.lcm).items()}

@@ -62,15 +62,15 @@ class TestCompute:
         assert len(walks) == 1
 
     def test_matroid_characteristic_walks_once(self, tmp_path, capsys, monkeypatch):
-        # the broken-circuit counts fold through the pruned kernel once
+        # the broken-circuit counts sweep through the pruned kernel once
         walks = []
-        fold = matroids._signed_fold
+        fold = matroids._image_fold
 
         def counted(*args):
             walks.append(args)
             return fold(*args)
 
-        monkeypatch.setattr(matroids, "_signed_fold", counted)
+        monkeypatch.setattr(matroids, "_image_fold", counted)
         path = write(tmp_path, "u24.json", {"kind": "matroid", "uniform": [2, 4]})
         assert cli.main(["compute", "matroid-characteristic", path]) == 0
         assert capsys.readouterr().out == (
@@ -78,7 +78,7 @@ class TestCompute:
             '"polynomial":{"coeffs":["3","-4","1"],"var":"x"},"validated":true}\n'
         )
         assert len(walks) == 1
-        assert walks[0][4]  # U(2,4) has broken circuits to prune by
+        assert walks[0][5]  # U(2,4) has broken circuits to prune by
 
     def test_graph_chromatic_full_matches(self, tmp_path, capsys):
         path = write(tmp_path, "k3.json", K3)
@@ -450,6 +450,23 @@ class TestExitCodes:
         grid = cli_process("generate", "grid", "--m", "2", "--n", "3")
         assert grid.returncode == 0, grid.stderr
         assert json.loads(grid.stdout)["kind"] == "hypergraph"
+
+    def test_compute_has_no_cap_elements_option(self, tmp_path):
+        # whitney-sum verifies the cancellation up to core.CANCELLATION_CAP
+        # elements, and no option moves that bound
+        instance = {
+            "kind": "whitney",
+            "elements": ["a", "b", "c"],
+            "circuits": [["a", "b", "c"]],
+            "function": {"kind": "sign"},
+        }
+        path = write(tmp_path, "w.json", instance)
+        assert cli_process("compute", "whitney-sum", path).returncode == 0
+        proc = cli_process("compute", "whitney-sum", path, "--cap-elements", "20")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--cap-elements" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_boolean_lattice_past_the_cap_is_refused_up_front(self, capsys):
         start = time.perf_counter()

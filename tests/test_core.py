@@ -367,14 +367,15 @@ def test_avoiding_masks_is_a_lazy_generator():
 
 def _brute_fold(n, state_of_mask, broken=()):
     """The signed histogram computed per mask, from the subset's own state,
-    over the masks that include no broken mask."""
+    over the masks that include no broken mask, with zero counts dropped
+    as the kernel drops them."""
     hist = {}
     for mask in range(1 << n):
         if any(mask & b == b for b in broken):
             continue
         key = state_of_mask(mask)
         hist[key] = hist.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
-    return hist
+    return {key: count for key, count in hist.items() if count}
 
 
 def _over(values, op, mask):
@@ -405,7 +406,9 @@ def _brute_components(n_vertices, edges, mask):
 
 @pytest.mark.parametrize("n", range(13))
 def test_signed_fold_visits_every_subset_once(n):
-    from brokencircuits.core import _signed_fold
+    # with the subset itself as the state no two states meet, so the sweep
+    # runs include once per nonempty subset
+    from brokencircuits.core import _image_fold
 
     calls = []
 
@@ -415,22 +418,23 @@ def test_signed_fold_visits_every_subset_once(n):
         calls.append(i)
         return mask | 1 << i
 
-    hist = _signed_fold(n, 0, include, lambda mask: mask)
+    hist = _image_fold(n, 0, include, lambda mask: mask)
     assert hist == {mask: -1 if mask.bit_count() & 1 else 1 for mask in range(1 << n)}
     assert len(calls) == (1 << n) - 1
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_signed_fold_matches_per_mask_states(n):
-    from brokencircuits.core import _component_histogram, _signed_fold
+    # the signed fold, computed per mask, against the kernel's sweep
+    from brokencircuits.core import _component_histogram, _image_fold
 
     rng = random.Random(1000 + n)
     ors = [rng.getrandbits(6) for _ in range(n)]
     ints = [rng.choice([2, 3, 4, 6, 9, 10, 12, 15, 30, 36]) for _ in range(n)]
 
-    got = _signed_fold(n, 0, lambda i, s: s | ors[i], lambda s: s)
+    got = _image_fold(n, 0, lambda i, s: s | ors[i], lambda s: s)
     assert got == _brute_fold(n, lambda m: _over(ors, int.__or__, m))
-    got = _signed_fold(n, 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g)
+    got = _image_fold(n, 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g)
     assert got == _brute_fold(n, lambda m: _over(ints, math.gcd, m))
     # union-find states: edges of up to three vertices, loops included,
     # isolated vertices whenever the edges miss one
@@ -440,12 +444,10 @@ def test_signed_fold_matches_per_mask_states(n):
     ]
     # pruned or not, the histogram is swept and keeps only nonzero counts
     got = _component_histogram(n_vertices, edges)
-    brute = _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m))
-    assert got == {c: count for c, count in brute.items() if count}
+    assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m))
     broken = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))] if n else []
     got = _component_histogram(n_vertices, edges, broken)
-    brute = _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m), broken)
-    assert got == {c: count for c, count in brute.items() if count}
+    assert got == _brute_fold(n, lambda m: _brute_components(n_vertices, edges, m), broken)
 
 
 def _fold_families(rng, n):
@@ -467,7 +469,7 @@ def _fold_families(rng, n):
 def test_pruned_fold_matches_brute_filter(n):
     # the kernel with broken masks against the per-mask fold over the
     # subsets that a containment filter keeps
-    from brokencircuits.core import _signed_fold
+    from brokencircuits.core import _image_fold
 
     rng = random.Random(2000 + n)
     ors = [rng.getrandbits(6) for _ in range(n)]
@@ -481,13 +483,13 @@ def test_pruned_fold_matches_brute_filter(n):
             calls.append(mask | 1 << i)
             return mask | 1 << i
 
-        hist = _signed_fold(n, 0, include, lambda mask: mask, broken)
+        hist = _image_fold(n, 0, include, lambda mask: mask, None, broken)
         assert hist == {m: -1 if m.bit_count() & 1 else 1 for m in avoiding}, broken
         # include runs once per nonempty avoiding subset
         assert sorted(calls) == sorted(avoiding - {0}), broken
-        got = _signed_fold(n, 0, lambda i, s: s | ors[i], lambda s: s, broken)
+        got = _image_fold(n, 0, lambda i, s: s | ors[i], lambda s: s, None, broken)
         assert got == _brute_fold(n, lambda m: _over(ors, int.__or__, m), broken)
-        got = _signed_fold(n, 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g, broken)
+        got = _image_fold(n, 0, lambda i, g: math.gcd(g, ints[i]), lambda g: g, None, broken)
         assert got == _brute_fold(n, lambda m: _over(ints, math.gcd, m), broken)
         if broken and 0 in broken:
             assert hist == {}
@@ -495,31 +497,32 @@ def test_pruned_fold_matches_brute_filter(n):
 
 @pytest.mark.parametrize("n", range(13))
 def test_image_fold_matches_signed_fold(n):
-    # the distinct-state sweep against the subset fold: lattice states that
-    # repeat, the identity mask state that never repeats, and states whose
-    # signed counts cancel
-    from brokencircuits.core import _image_fold, _signed_fold
+    # the distinct-state sweep against the signed fold computed per mask:
+    # lattice states that repeat, the identity mask state that never
+    # repeats, and states whose signed counts cancel
+    from brokencircuits.core import _image_fold
 
     rng = random.Random(3000 + n)
     ors = [rng.getrandbits(6) for _ in range(n)]
     ints = [rng.choice([2, 3, 4, 6, 9, 10, 12, 15, 30, 36]) for _ in range(n)]
     cases = [
-        (0, lambda i, s: s | ors[i], lambda s: s),
-        (0, lambda i, s: s | ors[i], int.bit_count),
-        (0, lambda i, g: math.gcd(g, ints[i]), lambda g: g),
-        (1, lambda i, l: math.lcm(l, ints[i]), lambda l: l),
-        (0, lambda i, mask: mask | 1 << i, lambda mask: mask),
+        (0, lambda i, s: s | ors[i], lambda s: s, lambda m: _over(ors, int.__or__, m)),
+        (0, lambda i, s: s | ors[i], int.bit_count, lambda m: _over(ors, int.__or__, m).bit_count()),
+        (0, lambda i, g: math.gcd(g, ints[i]), lambda g: g, lambda m: _over(ints, math.gcd, m)),
+        (1, lambda i, l: math.lcm(l, ints[i]), lambda l: l,
+         lambda m: math.lcm(1, *(v for i, v in enumerate(ints) if m >> i & 1))),
+        (0, lambda i, mask: mask | 1 << i, lambda mask: mask, lambda m: m),
     ]
     # the last position leaves every state as it is, so all counts cancel
-    cancelling = (0, lambda i, s: s if i == n - 1 else s | ors[i], lambda s: s)
-    for start, include, key in cases + [cancelling]:
-        nonzero = {k: c for k, c in _signed_fold(n, start, include, key).items() if c}
-        assert _image_fold(n, start, include, key) == nonzero
-    assert _image_fold(n, *cancelling) == ({} if n else {0: 1})
+    cancelling = (0, lambda i, s: s if i == n - 1 else s | ors[i], lambda s: s,
+                  lambda m: _over(ors[:-1], int.__or__, m))
+    for start, include, key, state_of_mask in cases + [cancelling]:
+        assert _image_fold(n, start, include, key) == _brute_fold(n, state_of_mask)
+    assert _image_fold(n, *cancelling[:3]) == ({} if n else {0: 1})
 
 
 def test_image_fold_work_is_the_distinct_states_per_level():
-    from brokencircuits.core import _image_fold, _signed_fold
+    from brokencircuits.core import _image_fold
     from brokencircuits.numbers import divisors
 
     def counted(values, op):
@@ -538,11 +541,9 @@ def test_image_fold_work_is_the_distinct_states_per_level():
     hist = _image_fold(len(domain), 0, include, lambda g: g)
     assert len(domain) == 16
     assert len(calls) <= 16 * 18
-    assert hist == {
-        g: c for g, c in _signed_fold(16, 0, lambda i, g: math.gcd(g, domain[i]), lambda g: g).items() if c
-    }
+    assert hist == _brute_fold(16, lambda m: _over(domain, math.gcd, m))
     # 20 positions with 4-bit OR states: at most 16 states per level,
-    # one include call per state, where the subset fold makes 2^20 - 1
+    # one include call per state, where a walk over the subsets makes 2^20 - 1
     rng = random.Random(31)
     ors = [rng.getrandbits(4) for _ in range(20)]
     include, calls = counted(ors, int.__or__)
@@ -564,8 +565,7 @@ def test_image_fold_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    brute = _brute_fold(len(ints), lambda m: _over(ints, math.gcd, m))
-    assert hist == {g: c for g, c in brute.items() if c}
+    assert hist == _brute_fold(len(ints), lambda m: _over(ints, math.gcd, m))
 
 
 def _component_cases(rng):
@@ -588,8 +588,7 @@ def test_component_sweep_matches_brute_force():
 
     for n_vertices, edges in _component_cases(random.Random(4000)):
         brute = _brute_fold(len(edges), lambda m: _brute_components(n_vertices, edges, m))
-        got = _component_histogram(n_vertices, edges)
-        assert got == {c: count for c, count in brute.items() if count}, (n_vertices, edges)
+        assert _component_histogram(n_vertices, edges) == brute, (n_vertices, edges)
 
 
 def test_sweep_states_name_each_block_by_its_smallest_live_vertex(monkeypatch):
@@ -661,15 +660,14 @@ def test_settled_sweeps_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    brute = _brute_fold(len(edges), lambda m: _brute_components(6, edges, m))
-    assert hist == {c: count for c, count in brute.items() if count}
+    assert hist == _brute_fold(len(edges), lambda m: _brute_components(6, edges, m))
     assert sum(induced.values()) == 0
 
 
 def test_image_fold_settle_runs_on_both_branches():
     # an OR state whose low bits are forgotten after position i: the key
-    # reads only bits never forgotten, so the sweep matches the subset fold
-    from brokencircuits.core import _image_fold, _signed_fold
+    # reads only bits never forgotten, so the sweep matches the per-mask fold
+    from brokencircuits.core import _image_fold
 
     rng = random.Random(4100)
     n = 10
@@ -686,17 +684,16 @@ def test_image_fold_settle_runs_on_both_branches():
 
     key = lambda s: s & keep[-1]
     swept = _image_fold(n, 0, include, key, settle)
-    folded = {k: c for k, c in _signed_fold(n, 0, include, key).items() if c}
-    assert swept == folded
+    assert swept == _brute_fold(n, lambda m: key(_over(ors, int.__or__, m)))
     # position 0 settles the start state and its image
     assert [s for i, s in seen if i == 0] == [0, ors[0]]
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_image_fold_with_broken_masks_matches_signed_fold_and_brute_force(n):
-    # the flagged sweep against the subset walk and a per-mask filter, with
-    # and without a settle hook that forgets the low bits of an OR state
-    from brokencircuits.core import _image_fold, _signed_fold
+    # the flagged sweep against a per-mask filter, with and without a settle
+    # hook that forgets the low bits of an OR state
+    from brokencircuits.core import _image_fold
 
     rng = random.Random(5000 + n)
     ors = [rng.getrandbits(6) for _ in range(n)]
@@ -717,17 +714,17 @@ def test_image_fold_with_broken_masks_matches_signed_fold_and_brute_force(n):
         families += [[dup, dup, dup | 1], [1 << p for p in range(n)]]
     for broken in families:
         for start, include, key, settle, state_of_mask in cases:
-            folded = {k: c for k, c in _signed_fold(n, start, include, key, broken).items() if c}
-            brute = {k: c for k, c in _brute_fold(n, state_of_mask, broken).items() if c}
-            assert _image_fold(n, start, include, key, settle, broken) == folded == brute, broken
+            brute = _brute_fold(n, state_of_mask, broken)
+            assert _image_fold(n, start, include, key, settle, broken) == brute, broken
         if 0 in broken:
             assert _image_fold(n, 0, lambda i, s: s, lambda s: s, None, broken) == {}
     assert _image_fold(0, 7, None, lambda s: s, None, [0]) == {}
 
 
 def test_chain_subsets_match_recursive_walk():
-    # the explicit-stack walk yields the chains in the order of a recursive
-    # pre-order walk over a linear extension, each chain once
+    # the kernel walk yields the chains in the order of a recursive walk
+    # over a linear extension that decides each element in turn, exclusion
+    # first, each chain once
     rng = random.Random(23)
     for _ in range(20):
         n = rng.randint(0, 7)
@@ -736,15 +733,18 @@ def test_chain_subsets_match_recursive_walk():
         ext = poset.linear_extension()
         expected = []
 
-        def walk(start, current):
-            expected.append(frozenset(current))
-            for j in range(start, len(ext)):
-                if all(poset.le(c, ext[j]) for c in current):
-                    walk(j + 1, current + [ext[j]])
+        def walk(pos, current):
+            if pos == len(ext):
+                expected.append(frozenset(current))
+                return
+            walk(pos + 1, current)
+            if all(poset.le(c, ext[pos]) for c in current):
+                walk(pos + 1, current + [ext[pos]])
 
         walk(0, [])
         got = list(poset.chain_subsets())
         assert got == expected
+        assert len(got) == len(set(got))
         assert set(got) == {
             frozenset(s)
             for r in range(n + 1)
@@ -764,6 +764,48 @@ def test_chain_walk_leaves_no_reference_cycles():
         gc.enable()
     # at most one element from each of the levels {0}, {1, 2}, {3}, {4, 5}
     assert len(chains) == 2 * 3 * 2 * 3
+
+
+def test_chain_routes_match_combination_filters():
+    # the chain, maxima and Narushima routes against itertools.combinations
+    # filtered by is_chain or by maximality, on random posets whose input
+    # order is not their linear extension, and on random upper semilattices
+    rng = random.Random(29)
+    posets, semilattices = [], []
+    while len(semilattices) < 15:
+        n = rng.randint(0, 7)
+        labels = rng.sample(range(n), n)
+        covers = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        posets.append(FinitePoset.from_covers(labels, covers))
+        topped = FinitePoset.from_covers(labels + [n], covers + [(i, n) for i in range(n)])
+        if topped.semilattice_violation() is None:
+            semilattices.append(topped)
+
+    def subsets_and_weights(poset):
+        subsets = [frozenset(c) for r in range(len(poset) + 1)
+                   for c in itertools.combinations(poset.elements, r)]
+        weights = {s: rng.randint(-9, 9) for s in subsets}
+        return subsets, weights, SetFunction(weights.__getitem__, 0, "random")
+
+    for poset in posets + semilattices:
+        subsets, weights, f = subsets_and_weights(poset)
+        chains = [s for s in subsets if poset.is_chain(s)]
+        got = list(poset.chain_subsets())
+        assert len(got) == len(set(got)) and set(got) == set(chains)
+        maximal = set(poset.maximal_elements())
+        expected = sum(weights[s] for s in subsets if s <= maximal)
+        assert sum_over_maxima(f, poset, check=False).restricted == expected
+    for poset in semilattices:
+        subsets, weights, f = subsets_and_weights(poset)
+        chains = [s for s in subsets if poset.is_chain(s)]
+        assert sum_over_chains(f, poset, check=False) == sum(weights[s] for s in chains)
+        # x lies in M_s when its generator lies below s, so M_s & M_t lies in M_{s v t}
+        generators = [rng.choice(poset.elements) for _ in range(rng.randint(0, 12))]
+        family = IndexedSetFamily(poset.elements, {
+            s: {x for x, g in enumerate(generators) if poset.le(g, s)} for s in poset.elements
+        })
+        expected = sum((-1) ** (len(c) + 1) * len(family.intersection(c)) for c in chains if c)
+        assert narushima_union(poset, family) == expected == len(family.union_all())
 
 
 def _all_subfamilies(broken):

@@ -330,6 +330,24 @@ def test_walk_order_is_pinned():
     assert FiniteLattice("ab", [("a", "b")]).maximal_chains() == [("a", "b")]
 
 
+def test_all_crosscuts_match_combination_filter():
+    # the kernel walk against the combinations of middle elements that are
+    # antichains and meet every maximal chain
+    for lat in (boolean_lattice(3), divisor_lattice(12), partition_lattice(3),
+                divisor_lattice(60), partition_lattice(4)):
+        chains = [set(c) for c in lat.maximal_chains()]
+        middle = lat.middle()
+        expected = [
+            combo
+            for r in range(1, len(middle) + 1)
+            for combo in itertools.combinations(middle, r)
+            if not any(lat.comparable(a, b) for a, b in itertools.combinations(combo, 2))
+            and all(chain.intersection(combo) for chain in chains)
+        ]
+        got = all_crosscuts(lat)
+        assert len(got) == len(set(got)) and set(got) == set(expected)
+
+
 def test_walks_leave_no_reference_cycles():
     lattices = [boolean_lattice(3), partition_lattice(4), divisor_lattice(60)]
     gc.collect()
@@ -699,7 +717,7 @@ class TestKernelCrosscutSums:
 
     def test_every_crosscut_random_orders_and_subfamilies(self):
         from brokencircuits import lattices
-        from brokencircuits.core import _image_fold, _signed_fold
+        from brokencircuits.core import _image_fold
 
         rng = random.Random(13)
         checked = pruned = 0
@@ -720,8 +738,7 @@ class TestKernelCrosscutSums:
                         ground = OrderedGroundSet(reversed(cc.linear_extension()))
                         fold = lattices._crosscut_fold(lat, ground.elements, drop)
                         masks = [ground.mask_of(b) for b in sub]
-                        got = _signed_fold(len(cut), *fold, masks)
-                        assert {k: v for k, v in got.items() if v} == hist
+                        assert _image_fold(len(cut), *fold, broken=masks) == hist
                         value = blass_sagan_mobius(lat, cc, subfamily=sub,
                                                    drop_meet_condition=drop)
                         assert value == hist.get(True, 0) == mu

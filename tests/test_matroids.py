@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokencircuits.algebra import IntPolynomial
-from brokencircuits.core import _signed_fold
 from brokencircuits.errors import PreconditionError
 from brokencircuits.graphs import Graph, random_graph
 from brokencircuits.matroids import (
@@ -182,12 +181,12 @@ class TestRankInvariance:
         import brokencircuits.matroids as mod
 
         m = Matroid.graphic(Graph.complete(4))
-        fold = mod._signed_fold
+        fold = mod._image_fold
 
-        def unpruned_fold(n, start, include, key, broken=()):
-            return fold(n, start, include, key)
+        def unpruned_fold(n, start, include, key, settle=None, broken=()):
+            return fold(n, start, include, key, settle)
 
-        monkeypatch.setattr(mod, "_signed_fold", unpruned_fold)
+        monkeypatch.setattr(mod, "_image_fold", unpruned_fold)
         with pytest.raises(RuntimeError, match="dependent"):
             broken_circuit_counts(m)
 
@@ -359,9 +358,12 @@ PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7)
 
 
 def _assert_sweep_matches_fold(m):
-    # the swept rank histogram against the subset fold of the same greedy
-    # step; the sweep drops zero counts
-    fold = _signed_fold(len(m.elements), 0, m._greedy_step, int.bit_count)
+    # the swept rank histogram against the signed fold of the greedy ranks
+    # computed per subset; the sweep drops zero counts
+    fold = {}
+    for mask in range(1 << len(m.elements)):
+        r = m._rank_mask(mask)
+        fold[r] = fold.get(r, 0) + (-1 if mask.bit_count() & 1 else 1)
     assert m._signed_rank_histogram() == {r: c for r, c in fold.items() if c}, m
     assert characteristic_polynomial(m, "full") == characteristic_polynomial(m, "broken_circuit"), m
     assert beta_invariant(m, "full") == beta_invariant(m, "broken_circuit"), m
