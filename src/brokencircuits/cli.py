@@ -295,6 +295,9 @@ def _cmd_verify(args):
 
 
 def _planar_geometry(args, rng, geometry):
+    # refused before drawing: the 7x7 grid has 49 points, so past it the draw never ends
+    if args.n > geometry.CLOSURE_CAP:
+        raise CapExceeded(f"closure systems are capped at {geometry.CLOSURE_CAP} elements")
     pts = set()
     while len(pts) < args.n:
         pts.add((rng.randint(0, 6), rng.randint(0, 6)))

@@ -345,9 +345,8 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     states instead of subsets: position i adds each state's signed count,
     negated, at ``include(i, state)``, and states that cancel are dropped.
     The work is the sum of the distinct states per level, n times a small
-    image (a gcd, lcm, hull, neighbourhood union or frontier partition),
-    and at most the avoiding subsets themselves when the state is the
-    subset, as in ``matroids.broken_circuit_counts``.
+    image (a gcd, lcm, hull, neighbourhood union, frontier partition or
+    contracted minor).
 
     ``settle(i, state)``, when given, maps every state after position i,
     both the subsets that take i and those that do not.  It forgets what no

@@ -6,7 +6,10 @@ A matroid is given by its ground set (the input order is the ambient
 linear order) and its circuits, the minimal dependent sets.  Rank is
 computed greedily; broken-circuit-free subsets are independent, so the
 counts b_k assemble the characteristic polynomial and the beta invariant
-directly.
+directly.  Both sums sweep the ground positions in order over contracted
+minors (``_minor_sweep``): prefixes whose minors agree on the undecided
+positions share one state, so Petersen's cycle matroid takes 660 steps
+for the rank sum and 330 for the counts, not one per independent set.
 """
 
 from __future__ import annotations
@@ -53,15 +56,38 @@ class Matroid:
         self._circuits_by_max = [[] for _ in elements]
         for cm in self._circuit_masks:
             self._circuits_by_max[cm.bit_length() - 1].append(cm)
-        for a, b in itertools.combinations(self.circuits, 2):
-            if a <= b or b <= a:
-                raise PreconditionError(
-                    f"circuits are not an antichain: {sorted(map(repr, a))} and {sorted(map(repr, b))}"
-                )
+        clash = self._comparable_pair()
+        if clash is not None:
+            a, b = (self.circuits[k] for k in clash)
+            raise PreconditionError(
+                f"circuits are not an antichain: {sorted(map(repr, a))} and {sorted(map(repr, b))}"
+            )
         self.validated = False
         if validate and len(elements) <= AXIOM_CAP:
             self._check_elimination()
             self.validated = True
+
+    def _comparable_pair(self):
+        """First pair (j, k), j < k, of circuit indices with one circuit inside the other, or None.
+
+        Distinct circuits of one size are never comparable, so only a
+        smaller circuit is tested against each larger one.
+        """
+        by_size = {}
+        for k, cm in enumerate(self._circuit_masks):
+            by_size.setdefault(cm.bit_count(), []).append((k, cm))
+        sizes = sorted(by_size)
+        clash = None
+        for low, s in enumerate(sizes):
+            for t in sizes[low + 1:]:
+                larger = by_size[t]
+                for ka, a in by_size[s]:
+                    for kb, b in larger:
+                        if a & b == a:
+                            pair = (ka, kb) if ka < kb else (kb, ka)
+                            if clash is None or pair < clash:
+                                clash = pair
+        return clash
 
     def _mask(self, subset):
         m = 0
@@ -132,8 +158,8 @@ class Matroid:
         return acc.bit_count()
 
     def _signed_rank_histogram(self):
-        """Nonzero {r(A): sum of (-1)^|A|} over all A, swept over distinct greedy bases."""
-        return _image_fold(len(self.elements), 0, self._greedy_step, int.bit_count)
+        """Nonzero {r(A): sum of (-1)^|A|} over all A, swept over contracted minors."""
+        return _minor_sweep(self)
 
     def rank(self, subset):
         """Size of a maximal circuit-free subset, built greedily in ground order."""
@@ -165,29 +191,95 @@ class Matroid:
         return cls(labels, circuits)
 
 
+def _minor_sweep(matroid, broken=(), strict=False):
+    """Nonzero {r(A): sum of (-1)^|A|} over the subsets A of the ground
+    positions that include none of the ``broken`` masks.
+
+    The positions are decided in order, and a prefix A is kept only as its
+    contracted minor M/A restricted to the undecided positions: the rank
+    r(A) and which circuit classes are alive.  A circuit is alive while
+    every decided position of it lies in the greedy basis of A; circuits
+    whose undecided parts are equal read the same future, so they merge
+    into one class, named by the smallest circuit index.  Before i is
+    decided, the circuits with maximum i share the undecided part {i}, so
+    they form one class, and i is a loop of M/A exactly when that class is
+    alive.  Prefixes with equal minors share one state, so a
+    graphic matroid sweeps about as many states as frontier partitions and
+    a uniform one a state per rank (the frontier idea of Sekine, Imai and
+    Tani, ISAAC 1995, for any circuit list).
+
+    The state is one int: a "just taken" flag in bit 0, one bit per class
+    above it, and the rank above those.  With ``strict`` a loop raises
+    ``CrossCheckFailed``, since every subset left by the broken masks must
+    be independent.
+    """
+    n = len(matroid.elements)
+    masks = matroid._circuit_masks
+    shift = len(masks) + 1
+    # per position: the class of the circuits with that maximum, the mask
+    # that kills the classes holding it, and the (members, ~members, name)
+    # class merges once it is decided
+    loop_class, keep, merges = [], [], []
+    classes = {cm: 2 << k for k, cm in enumerate(masks)}  # undecided part -> class bit
+    for i in range(n):
+        bit = 1 << i
+        loop_class.append(classes.get(bit, 0))
+        held = 0
+        # only the classes that hold i get a new part, and may meet another class
+        moved = {}
+        for part in [part for part in classes if part & bit]:
+            cls = classes.pop(part)
+            held |= cls
+            if part != bit:
+                moved.setdefault(part ^ bit, []).append(cls)
+        keep.append(~held)
+        merged = []
+        for part, group in moved.items():
+            if part in classes:
+                group.append(classes[part])
+            classes[part] = name = min(group)
+            if len(group) > 1:
+                members = sum(group)
+                merged.append((members, ~members, name))
+        merges.append(merged)
+
+    lift = (1 << shift) | 1
+
+    def include(i, state):
+        if state & loop_class[i]:
+            if strict:
+                raise CrossCheckFailed("broken-circuit-free subset is dependent")
+            # A + i has the rank and the minor of A, so the two cancel
+            return state
+        return state + lift
+
+    def settle(i, state):
+        if state & 1:
+            state ^= 1
+        else:
+            state &= keep[i]
+        for members, others, name in merges[i]:
+            if state & members:
+                state = state & others | name
+        return state
+
+    start = (1 << shift) - 2
+    return _image_fold(n, start, include, lambda state: state >> shift, settle, broken)
+
+
 def broken_circuit_counts(matroid):
     """b_k: number of k-subsets including no broken circuit of the matroid.
 
-    The broken circuits are the circuit masks with their top bit cleared.
-    Every counted subset is checked to be independent along the way: the
-    sweep adds positions in increasing order, so a circuit inside a subset
-    is caught when its maximum is added, by testing only the circuits with
-    that maximum.
+    The broken circuits are the circuit masks with their top bit cleared,
+    and the count of k-subsets is the signed count at rank k, since every
+    counted subset is checked to be independent along the way: the sweep
+    over contracted minors raises when a counted subset takes a loop of
+    the minor of its prefix.
     """
     broken = [cm ^ 1 << (cm.bit_length() - 1) for cm in matroid._circuit_masks]
-    by_max = matroid._circuits_by_max
-
-    def include(i, acc):
-        t = acc | (1 << i)
-        for cm in by_max[i]:
-            if cm & t == cm:
-                raise CrossCheckFailed("broken-circuit-free subset is dependent")
-        return t
-
     counts = [0] * (len(matroid.elements) + 1)
-    hist = _image_fold(len(matroid.elements), 0, include, int.bit_count, None, broken)
-    for k, count in hist.items():
-        # every subset under key k has k elements, so its count is |signed count|
+    for k, count in _minor_sweep(matroid, broken, strict=True).items():
+        # a strict sweep takes no loop, so rank k means k elements: the count is |signed count|
         counts[k] = abs(count)
     return tuple(counts)
 

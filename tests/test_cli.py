@@ -376,6 +376,12 @@ class TestMoreGenerators:
         code, out, _ = run(capsys, "compute", "geometry-verify", path)
         assert code == 0
 
+    def test_planar_geometry_past_the_cap_exits_3(self, capsys):
+        # 50 points exceed both the closure cap and the 49 points of the grid drawn from
+        code, out, err = run(capsys, "generate", "planar-geometry", "--n", "50")
+        assert code == 3 and out is None
+        assert "cap" in err
+
 
 class TestExitCodes:
     def test_schema_error(self, tmp_path, capsys):

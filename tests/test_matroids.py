@@ -381,17 +381,134 @@ def test_rank_sweep_matches_the_subset_fold_on_graphic_matroids(edges):
     _assert_sweep_matches_fold(Matroid.graphic(Graph(range(7), edges)))
 
 
-def test_rank_sweep_steps_once_per_distinct_basis():
-    # 2^n - 1 greedy steps for the subset fold; the sweep steps once per
-    # distinct basis and level
-    for m, steps in ((Matroid.graphic(Graph(range(10), PETERSEN_EDGES)), 22_501), (Matroid.uniform(4, 10), 511)):
-        calls = []
-        step = m._greedy_step
+def test_minor_sweeps_step_once_per_distinct_minor(monkeypatch):
+    # a sweep keyed by greedy basis or by subset steps once per independent
+    # set (22,501 rank steps on Petersen's cycle matroid, 511 on U(4,10));
+    # the minor sweep steps once per distinct minor and level
+    import brokencircuits.matroids as mod
 
-        def counted(i, acc, step=step):
+    fold = mod._image_fold
+    calls = []
+
+    def counting(n, start, include, *rest):
+        def counted(i, state):
             calls.append(i)
-            return step(i, acc)
+            return include(i, state)
 
-        m._greedy_step = counted
+        return fold(n, start, counted, *rest)
+
+    monkeypatch.setattr(mod, "_image_fold", counting)
+    petersen = Matroid.graphic(Graph(range(10), PETERSEN_EDGES))
+    for m, rank_steps, nbc_steps in ((petersen, 660, 330), (Matroid.uniform(4, 10), 40, 93)):
+        calls.clear()
         m._signed_rank_histogram()
-        assert len(calls) == steps
+        assert len(calls) == rank_steps
+        calls.clear()
+        broken_circuit_counts(m)
+        assert len(calls) == nbc_steps
+
+
+def _assert_sweeps_match_per_mask_folds(m):
+    # the rank sweep against the signed fold of the greedy rank of every
+    # mask, and the counts against a broken-circuit filter over every mask
+    # that reads only the circuits and the ground order
+    n = len(m.elements)
+    pos = {e: i for i, e in enumerate(m.elements)}
+    broken = [m._mask(c - {max(c, key=pos.get)}) for c in m.circuits]
+    ranks, counts = {}, [0] * (n + 1)
+    for mask in range(1 << n):
+        r = m._rank_mask(mask)
+        ranks[r] = ranks.get(r, 0) + (-1 if mask.bit_count() & 1 else 1)
+        if not any(mask & b == b for b in broken):
+            counts[mask.bit_count()] += 1
+    assert m._signed_rank_histogram() == {r: c for r, c in ranks.items() if c}, m
+    assert broken_circuit_counts(m) == tuple(counts), m
+
+
+def _direct_sum(rng, parts):
+    """The direct sum of parts, labels "k:e", in a shuffled ground order."""
+    elements = [f"{k}:{e}" for k, part in enumerate(parts) for e in part.elements]
+    circuits = [{f"{k}:{e}" for e in c} for k, part in enumerate(parts) for c in part.circuits]
+    return Matroid(rng.sample(elements, len(elements)), circuits)
+
+
+def _with_loop_and_parallel(rng, m):
+    """m with a new loop and a parallel copy of one element, both placed at random in the order."""
+    e = rng.choice(m.elements)
+    circuits = [set(c) for c in m.circuits]
+    circuits += [(c - {e}) | {"copy"} for c in circuits if e in c] + [{"loop"}]
+    if {e} not in circuits:
+        circuits.append({e, "copy"})
+    elements = list(m.elements)
+    for label in ("copy", "loop"):
+        elements.insert(rng.randint(0, len(elements)), label)
+    return Matroid(elements, circuits)
+
+
+def test_minor_sweeps_match_per_mask_folds():
+    rng = random.Random(81)
+    corpus = [Matroid.uniform(r, n) for n in range(10) for r in range(n + 1)]
+    while len(corpus) < 95:
+        g = random_graph(rng, rng.randint(3, 7), rng.choice((0.5, 0.8)))
+        if 1 <= len(g.edges) <= 12:
+            corpus.append(Matroid.graphic(Graph(g.vertices, rng.sample(g.edges, len(g.edges)))))
+    for _ in range(15):
+        parts = []
+        while sum(len(part.elements) for part in parts) < 6:
+            n = rng.randint(1, 5)
+            parts.append(Matroid.uniform(rng.randint(0, n), n))
+        corpus.append(_direct_sum(rng, parts))
+    for base in corpus[:: len(corpus) // 15]:
+        if 1 <= len(base.elements) <= 9:
+            corpus.append(_with_loop_and_parallel(rng, base))
+    for m in corpus:
+        assert m.validated
+        _assert_sweeps_match_per_mask_folds(m)
+
+
+def _scan_antichain(circuits):
+    """The antichain check over every pair of distinct circuits: the error message of the first comparable pair, or None."""
+    distinct = list(dict.fromkeys(frozenset(c) for c in circuits))
+    for a, b in itertools.combinations(distinct, 2):
+        if a <= b or b <= a:
+            return f"circuits are not an antichain: {sorted(map(repr, a))} and {sorted(map(repr, b))}"
+    return None
+
+
+def _antichain_error(elements, circuits):
+    try:
+        Matroid(elements, circuits, validate=False)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def test_antichain_check_matches_all_pairs_scan():
+    rng = random.Random(74)
+    families = [(range(6), Matroid.uniform(3, 6).circuits), (range(3), [{0, 1}, {0, 1, 2}])]
+    while len(families) < 400:
+        n = rng.randint(1, 8)
+        elements = list(range(n))
+        kind = rng.randrange(3)
+        if kind == 0:
+            family = [set(rng.sample(elements, rng.randint(1, n))) for _ in range(rng.randint(1, 10))]
+        else:
+            family = _random_antichain(rng, elements)
+            if kind == 2:
+                # inject a proper subset or superset of a member
+                c = rng.choice(family)
+                rest = [e for e in elements if e not in c]
+                if len(c) > 1 and (not rest or rng.random() < 0.5):
+                    injected = set(rng.sample(sorted(c), rng.randint(1, len(c) - 1)))
+                elif rest:
+                    injected = c | set(rng.sample(rest, rng.randint(1, len(rest))))
+                else:
+                    continue
+                family.insert(rng.randint(0, len(family)), injected)
+        families.append((elements, family))
+    verdicts = set()
+    for elements, family in families:
+        expected = _scan_antichain(family)
+        assert _antichain_error(elements, family) == expected, family
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
