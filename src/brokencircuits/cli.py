@@ -151,11 +151,7 @@ def _whitney_sum(args, doc, core):
         perm = _permutation(args.permute_order, len(ground))
         ground = ground.permuted(perm)
     derived = [bc.subset for bc in core.derive_broken_circuits(circuits, ground)]
-    chosen = derived if broken == "all" else broken
-    allowed = set(derived)
-    for b in chosen:
-        if b not in allowed:
-            raise PreconditionError(f"{sorted(map(repr, b))} is not a broken circuit of the given family")
+    chosen = core._chosen_broken(derived, broken, "a broken circuit of the given family")
     cancellation = "asserted"
     report = None
     if len(ground) <= core.CANCELLATION_CAP:

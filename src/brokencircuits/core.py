@@ -244,6 +244,21 @@ def derive_broken_circuits(family, ground):
     return tuple(out)
 
 
+def _chosen_broken(derived, choice, what):
+    """The broken sets a pruned sum runs over: every ``derived`` set when
+    ``choice`` is None or "all", else the sets of ``choice`` as frozensets,
+    each of which must be derived (any sub-family may prune); ``what``
+    names a derived set in the refusal."""
+    if choice is None or choice == "all":
+        return derived
+    allowed = set(derived)
+    chosen = [frozenset(b) for b in choice]
+    for b in chosen:
+        if b not in allowed:
+            raise PreconditionError(f"{sorted(map(repr, b))} is not {what}")
+    return chosen
+
+
 def _broken_masks(ground, broken):
     """Bitmasks of broken sets given as frozensets or BrokenCircuit records."""
     return [
@@ -363,9 +378,10 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     empty mask leaves no subset.
     """
     minimal = []
-    for m in sorted(set(broken), key=int.bit_count):
-        if all(m & b != b for b in minimal):
-            minimal.append(m)
+    # a mask can only include a strictly smaller one
+    for _, group in itertools.groupby(sorted(set(broken), key=int.bit_count), int.bit_count):
+        smaller = tuple(minimal)
+        minimal += [m for m in group if all(m & b != b for b in smaller)]
     by_max, _ = _prefixes_by_max(n, minimal)
     if by_max is None:
         return {}

@@ -24,6 +24,7 @@ from .core import (
     OrderedGroundSet,
     _block_settler,
     _broken_masks,
+    _chosen_broken,
     _component_count,
     _component_histogram,
     _image_fold,
@@ -200,10 +201,10 @@ class Graph:
         return Graph(new_order, self.edges)
 
 
-def _vertex_cycles(graph, cap=CYCLE_CAP):
+def _vertex_cycles(graph):
     """Simple cycles as vertex index tuples, each listed exactly once."""
-    if len(graph.edges) > cap:
-        raise CapExceeded(f"cycle enumeration needs |E| <= {cap}")
+    if len(graph.edges) > CYCLE_CAP:
+        raise CapExceeded(f"cycle enumeration needs |E| <= {CYCLE_CAP}")
     n = len(graph.vertices)
     adj = [sorted(s) for s in graph._adj]
     cycles = []
@@ -229,10 +230,10 @@ def _vertex_cycles(graph, cap=CYCLE_CAP):
     return cycles
 
 
-def cycles_edge_sets(graph, cap=CYCLE_CAP):
+def cycles_edge_sets(graph):
     """Edge sets of all simple cycles, as frozensets of edge indices."""
     out = []
-    for cyc in _vertex_cycles(graph, cap):
+    for cyc in _vertex_cycles(graph):
         ids = []
         for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
             ids.append(graph._edge_index[frozenset((graph.vertices[a], graph.vertices[b]))])
@@ -240,24 +241,24 @@ def cycles_edge_sets(graph, cap=CYCLE_CAP):
     return out
 
 
-def cycles_vertex_sets(graph, cap=CYCLE_CAP):
+def cycles_vertex_sets(graph):
     """Vertex sets of all simple cycles, as frozensets of vertex labels."""
-    return [frozenset(graph.vertices[i] for i in cyc) for cyc in _vertex_cycles(graph, cap)]
+    return [frozenset(graph.vertices[i] for i in cyc) for cyc in _vertex_cycles(graph)]
 
 
 def edge_ground(graph):
     return OrderedGroundSet(range(len(graph.edges)), cap=max(24, len(graph.edges)))
 
 
-def edge_broken_circuits(graph, cap=CYCLE_CAP):
+def edge_broken_circuits(graph):
     """Broken circuits of the graph: cycle edge sets minus their largest edge."""
-    family = CircuitFamily(cycles_edge_sets(graph, cap))
+    family = CircuitFamily(cycles_edge_sets(graph))
     return [bc.subset for bc in derive_broken_circuits(family, edge_ground(graph))]
 
 
-def whitney_edge_counts(graph, cap=CYCLE_CAP):
+def whitney_edge_counts(graph):
     """b_k: number of k-edge subsets including no broken circuit."""
-    return enumerate_avoiding(edge_ground(graph), edge_broken_circuits(graph, cap))
+    return enumerate_avoiding(edge_ground(graph), edge_broken_circuits(graph))
 
 
 def _chromatic_from_counts(graph, counts):
@@ -272,7 +273,7 @@ def _chromatic_from_counts(graph, counts):
     return IntPolynomial(coeffs)
 
 
-def chromatic_polynomial(graph, method="broken_circuit", cycle_cap=CYCLE_CAP):
+def chromatic_polynomial(graph, method="broken_circuit"):
     """P(G, x) = sum over edge subsets A of (-1)^|A| x^{c(V, A)}.
 
     The full method evaluates the defining sum; the broken_circuit method
@@ -288,11 +289,11 @@ def chromatic_polynomial(graph, method="broken_circuit", cycle_cap=CYCLE_CAP):
             coeffs[c] = count
         return IntPolynomial(coeffs)
     if method == "broken_circuit":
-        return _chromatic_from_counts(graph, whitney_edge_counts(graph, cycle_cap))
+        return _chromatic_from_counts(graph, whitney_edge_counts(graph))
     raise SchemaError(f"unknown chromatic method {method!r}")
 
 
-def is_cyclically_claw_free(graph, cap=CYCLE_CAP):
+def is_cyclically_claw_free(graph):
     """True iff no centre of a claw lies on a simple cycle.
 
     A claw here is a star subgraph with three leaves, so its centre is any
@@ -300,7 +301,7 @@ def is_cyclically_claw_free(graph, cap=CYCLE_CAP):
     deleting a cycle vertex from a superset of its cycle, which is what
     the pruned component sums rely on.
     """
-    return _claw_free_on(graph, _vertex_cycles(graph, cap))
+    return _claw_free_on(graph, _vertex_cycles(graph))
 
 
 def _claw_free_on(graph, cycles):
@@ -320,10 +321,10 @@ def subgraph_component_polynomial(graph):
     return BiPolynomial({divmod(stat, n + 1): abs(count) for stat, count in hist.items()})
 
 
-def vertex_broken_circuits(graph, cap=CYCLE_CAP):
+def vertex_broken_circuits(graph):
     """Vertex broken circuits: cycle vertex sets minus their largest vertex."""
     ground = OrderedGroundSet(graph.vertices)
-    return _vertex_broken_circuits(graph, ground, _vertex_cycles(graph, cap))
+    return _vertex_broken_circuits(graph, ground, _vertex_cycles(graph))
 
 
 def _vertex_broken_circuits(graph, ground, cycles):
@@ -333,7 +334,7 @@ def _vertex_broken_circuits(graph, ground, cycles):
     return [bc.subset for bc in derive_broken_circuits(family, ground)]
 
 
-def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
+def q_at_minus_one(graph, method="direct"):
     """Q(G, -1, y) as a polynomial in y, for cyclically claw-free graphs.
 
     direct substitutes x = -1 into the defining sum; restricted prunes by
@@ -346,7 +347,7 @@ def q_at_minus_one(graph, method="direct", cap=CYCLE_CAP):
         raise SchemaError(f"unknown method {method!r}")
     if len(graph.vertices) > 20:
         raise CapExceeded(f"q_at_minus_one {method} needs |V| <= 20")
-    cycles = _vertex_cycles(graph, cap)
+    cycles = _vertex_cycles(graph)
     if not _claw_free_on(graph, cycles):
         raise PreconditionError("graph is not cyclically claw-free")
     n = len(graph.vertices)
@@ -392,9 +393,10 @@ def domination_polynomial(graph, method="direct", broken=None):
     """D(G, x): generating function of dominating sets by cardinality.
 
     direct counts dominating sets; alternating evaluates the signed
-    (x+1)^{|V| - |N[A]|} sum over all vertex subsets; pruned restricts that
-    sum to subsets including no broken neighbourhood, which requires the
-    graph to have no isolated vertices.
+    (x+1)^{|V| - |N[A]|} sum over all vertex subsets; pruned runs the same
+    sweep over the subsets including none of the broken neighbourhoods in
+    ``broken`` (all of them by default), which requires the graph to have
+    no isolated vertices.
     """
     n = len(graph.vertices)
     if n > 20:
@@ -413,37 +415,27 @@ def domination_polynomial(graph, method="direct", broken=None):
             if k >= 0:
                 coeffs[k] = abs(count)
         return IntPolynomial(coeffs)
-    if method == "alternating":
-        hist = _image_fold(n, 0, lambda i, nb: nb | nbs[i], int.bit_count)
-    elif method == "pruned":
+    if method not in ("alternating", "pruned"):
+        raise SchemaError(f"unknown method {method!r}")
+    masks = ()
+    if method == "pruned":
         for i in range(n):
             if not graph._adj[i]:
                 raise PreconditionError(
                     f"isolated vertex {graph.vertices[i]!r}: pruned method unavailable"
                 )
-        derived = broken_neighbourhoods(graph)
-        if broken is None:
-            broken = derived
-        else:
-            derived_set = set(derived)
-            broken = [frozenset(b) for b in broken]
-            for b in broken:
-                if b not in derived_set:
-                    raise PreconditionError(
-                        f"{sorted(map(repr, b))} is not a broken neighbourhood of the graph"
-                    )
-        masks = _broken_masks(OrderedGroundSet(graph.vertices), broken)
-        # the state is N[A] on the unsettled vertices, with the count of the
-        # settled dominated ones in the bits above; v settles after max N[v]
-        settled = graph._settled_masks()
+        chosen = _chosen_broken(broken_neighbourhoods(graph), broken,
+                                "a broken neighbourhood of the graph")
+        masks = _broken_masks(OrderedGroundSet(graph.vertices), chosen)
+    # the state is N[A] on the unsettled vertices, with the count of the
+    # settled dominated ones in the bits above; v settles after max N[v]
+    settled = graph._settled_masks()
 
-        def settle(i, s):
-            done = s & settled[i]
-            return s - done + (done.bit_count() << n)
+    def settle(i, s):
+        done = s & settled[i]
+        return s - done + (done.bit_count() << n)
 
-        hist = _image_fold(n, 0, lambda i, s: s | nbs[i], lambda s: s >> n, settle, masks)
-    else:
-        raise SchemaError(f"unknown method {method!r}")
+    hist = _image_fold(n, 0, lambda i, s: s | nbs[i], lambda s: s >> n, settle, masks)
     # signed count of subsets A by j = |V| - |N[A]|; A contributes (-1)^|A| (x+1)^j
     by_j = [0] * (n + 1)
     for size, count in hist.items():

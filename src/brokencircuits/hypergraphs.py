@@ -20,6 +20,7 @@ from .core import (
     OrderedGroundSet,
     _avoiding_bound,
     _broken_masks,
+    _chosen_broken,
     _component_count,
     _component_histogram,
     derive_broken_circuits,
@@ -168,15 +169,7 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
         )
     ground = edge_ground(hypergraph)
     derived = [bc.subset for bc in derive_broken_circuits(circuits, ground)]
-    if broken == "all":
-        chosen = derived
-    else:
-        derived_set = set(derived)
-        chosen = [frozenset(b) for b in broken]
-        for b in chosen:
-            if b not in derived_set:
-                raise PreconditionError(f"{sorted(b)} is not a broken circuit of the family")
-    masks = _broken_masks(ground, chosen)
+    masks = _broken_masks(ground, _chosen_broken(derived, broken, "a broken circuit of the family"))
     bound = _avoiding_bound(len(ground), masks)
     if bound > 1 << FULL_SUM_FEASIBLE:
         raise CapExceeded(f"up to {bound} of the 2^{len(ground)} edge subsets avoid the broken "

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .core import CircuitFamily, FinitePoset, OrderedGroundSet, _Record, _bits, _broken_masks
-from .core import _image_fold, derive_broken_circuits, iter_avoiding_masks
+from .core import _chosen_broken, _image_fold, derive_broken_circuits, iter_avoiding_masks
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 CROSSCUT_CAP = 20
@@ -338,16 +338,7 @@ def blass_sagan_mobius(
     if family is None:
         family = blass_sagan_family(lattice, crosscut, drop_meet_bound=drop_meet_condition)
     broken_sets = [bs.subset for bs in family]
-    if subfamily is None:
-        chosen = broken_sets
-    else:
-        allowed = set(broken_sets)
-        chosen = [frozenset(b) for b in subfamily]
-        for b in chosen:
-            if b not in allowed:
-                raise PreconditionError(
-                    f"{[repr(e) for e in sorted(b, key=repr)]} is not a prunable crosscut subset"
-                )
+    chosen = _chosen_broken(broken_sets, subfamily, "a prunable crosscut subset")
     lin = crosscut.linear_extension()
     ground = OrderedGroundSet(tuple(reversed(lin)), cap=CROSSCUT_CAP)
     if family:

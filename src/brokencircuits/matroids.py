@@ -181,11 +181,11 @@ class Matroid:
         return cls(range(n), circuits)
 
     @classmethod
-    def graphic(cls, graph, cycle_cap=20):
+    def graphic(cls, graph):
         """Cycle matroid of a graph; elements are the edges in graph order."""
         from .graphs import cycles_edge_sets
 
-        cycles = cycles_edge_sets(graph, cycle_cap)
+        cycles = cycles_edge_sets(graph)
         labels = graph.edges
         circuits = [frozenset(labels[i] for i in c) for c in cycles]
         return cls(labels, circuits)

@@ -1,10 +1,14 @@
 """Divisor-lattice expansions of arithmetical functions.
 
 The classical Mobius function, generalized totients, and Dirichlet
-inverses all arise as alternating gcd- or lcm-weighted sums over subsets
-of the divisors of n; the poset reductions collapse those sums to prime
-supports or to chains.  Exact values use Fractions; only the zeta
-reciprocal uses floats.
+inverses all arise as alternating gcd- or lcm-weighted sums over the
+subsets of one divisor domain: the divisors strictly between 1 and n, or
+the modified domain, every divisor but n (gcd) or but 1 (lcm), which a
+prime n needs.  Each sum is one op fold over the distinct gcd or lcm
+states; the chain reductions are the same fold pruned by the pairs that
+do not divide each other, and the prime-support reductions the same fold
+over the primes or their complements.  Exact values use Fractions; only
+the zeta reciprocal uses floats.
 """
 
 from __future__ import annotations
@@ -115,48 +119,37 @@ def lcm_all(values):
     return acc
 
 
-class DivisorLattice:
-    """The divisors of n with gcd/lcm structure and the complement map."""
-
-    def __init__(self, n):
-        self.n = n
-        self.divisors = divisors(n)
-        self.prime_factors = prime_factors(n)
-
-    def middle(self):
-        """Divisors other than 1 and n."""
-        return tuple(d for d in self.divisors if d not in (1, self.n))
-
-    def complement(self, subset):
-        """A* = {n/a : a in A}."""
-        return frozenset(self.n // a for a in subset)
-
-    def prime_complements(self):
-        """{n/p : p prime factor of n}."""
-        return tuple(sorted(self.n // p for p in self.prime_factors))
+def _divisor_domain(n, op, modified_domain=False):
+    """The divisors of n that the gcd (op math.gcd) or lcm (op math.lcm)
+    sums run over: those strictly between 1 and n, or with modified_domain
+    every divisor except n (gcd) or except 1 (lcm).  A prime n has no
+    divisor strictly between, so its prime support is only in the modified
+    domain, which it needs."""
+    divs = divisors(n)
+    if modified_domain:
+        return [d for d in divs if d != (n if op is math.gcd else 1)]
+    if _is_prime(n):
+        raise PreconditionError(
+            "prime n leaves the prime support outside the open divisor interval; "
+            "use the modified domain"
+        )
+    return [d for d in divs if d not in (1, n)]
 
 
-def _gcd_histogram(domain):
-    """{gcd(A): sum of (-1)^|A|} over the subsets A of the domain; gcd of the empty set is 0."""
-    return _image_fold(len(domain), 0, lambda i, g: math.gcd(g, domain[i]), lambda g: g)
-
-
-def _lcm_histogram(domain):
-    """{lcm(A): sum of (-1)^|A|} over the subsets A of the domain; lcm of the empty set is 1."""
-    return _image_fold(len(domain), 1, lambda i, l: math.lcm(l, domain[i]), lambda l: l)
+def _op_fold(domain, start, op, broken=()):
+    """{the op-fold of A from start: sum of (-1)^|A|} over the subsets A of
+    the domain that include none of the ``broken`` position masks."""
+    return _image_fold(len(domain), start, lambda i, s: op(s, domain[i]), lambda s: s, None, broken)
 
 
 def _signed_gcd_sum(domain):
-    """sum over subsets A of the domain of (-1)^|A| [gcd(A) == 1].
-
-    gcd of the empty set is 0, so the empty subset never counts.
-    """
-    return _gcd_histogram(domain).get(1, 0)
+    """sum over subsets A of the domain of (-1)^|A| [gcd(A) == 1]; gcd of the empty set is 0."""
+    return _op_fold(domain, 0, math.gcd).get(1, 0)
 
 
 def _signed_lcm_sum(domain, n):
     """sum over subsets A of the domain of (-1)^|A| [lcm(A) == n]."""
-    return _lcm_histogram(domain).get(n, 0)
+    return _op_fold(domain, 1, math.lcm).get(n, 0)
 
 
 def gcd_expansion(n, variant="gcd", modified_domain=False):
@@ -174,27 +167,21 @@ def gcd_expansion(n, variant="gcd", modified_domain=False):
         raise PreconditionError("the gcd variant needs n >= 2")
     if n < 1:
         raise PreconditionError("n must be positive")
-    lat = DivisorLattice(n)
-    if _is_prime(n) and not modified_domain:
-        raise PreconditionError(
-            "prime n leaves the prime support outside the open divisor interval; "
-            "use the modified domain"
-        )
+    op = math.gcd if variant == "gcd" else math.lcm
+    domain = _divisor_domain(n, op, modified_domain)
     mu = classical_mobius(n)
-    primes = list(lat.prime_factors)
+    primes = list(prime_factors(n))
     star = [n // p for p in primes]
     over_primes_star = sum(
         (-1) ** len(a)
         for r in range(len(primes) + 1)
         for a in itertools.combinations(primes, r)
-        if gcd_all(lat.complement(a)) == 1
+        if gcd_all(n // p for p in a) == 1
     )
     if variant == "gcd":
-        domain = [d for d in lat.divisors if d != n] if modified_domain else list(lat.middle())
         value = _signed_gcd_sum(domain)
         chain = (value, _signed_gcd_sum(star), over_primes_star, _signed_lcm_sum(primes, n), mu)
     else:
-        domain = [d for d in lat.divisors if d != 1] if modified_domain else list(lat.middle())
         value = _signed_lcm_sum(domain, n)
         if n == 1:
             # the complement forms degenerate at n = 1 (gcd of the empty
@@ -279,14 +266,8 @@ def totient_subset_sum(n, h=None, modified_domain=False, restrict=False):
     """
     h = h or MultiplicativeFunction.identity()
     _require_totient_domain(n, h)
-    divs = divisors(n)
-    if _is_prime(n) and not modified_domain:
-        raise PreconditionError("prime n needs the modified domain")
-    domain = [d for d in divs if d != n] if modified_domain else [
-        d for d in divs if d not in (1, n)
-    ]
     total = Fraction(0)
-    for g, count in _gcd_histogram(domain).items():
+    for g, count in _op_fold(_divisor_domain(n, math.gcd, modified_domain), 0, math.gcd).items():
         # g == 0 only for the empty subset; a subset A adds -(-1)^|A| h(gcd A)
         if g and (not restrict or g > 1):
             total -= count * h(g)
@@ -358,14 +339,8 @@ def inverse_subset_sum(n, h=None, modified_domain=False, restrict=False):
     summed, which changes nothing for non-squarefree n.
     """
     h = h or MultiplicativeFunction.identity()
-    divs = divisors(n)
-    if _is_prime(n) and not modified_domain:
-        raise PreconditionError("prime n needs the modified domain")
-    domain = [d for d in divs if d != 1] if modified_domain else [
-        d for d in divs if d not in (1, n)
-    ]
     total = Fraction(0)
-    for l, count in _lcm_histogram(domain).items():
+    for l, count in _op_fold(_divisor_domain(n, math.lcm, modified_domain), 1, math.lcm).items():
         if not restrict or l < n:
             total += count * h(l)
     return total
@@ -454,14 +429,15 @@ def divisor_complex(n, kind="gcd"):
     lcm < n (kind "lcm"), over the divisors strictly between 1 and n."""
     if kind not in ("gcd", "lcm"):
         raise SchemaError(f"unknown complex kind {kind!r}")
-    lat = DivisorLattice(n)
-    if len(lat.divisors) > SUBSET_CAP:
+    if len(divisors(n)) > SUBSET_CAP:
         raise CapExceeded(f"complex construction needs d(n) <= {SUBSET_CAP}")
-    middle = lat.middle()
     if kind == "gcd":
         step, start, is_face = math.gcd, 0, (lambda g: g > 1)
     else:
         step, start, is_face = math.lcm, 1, (lambda l: l < n)
+    # 1 (gcd) and n (lcm) lie in no face, so the modified domain, which every
+    # n has, spans the same complex as the open interval
+    middle = _divisor_domain(n, step, modified_domain=True)
     faces = []
     # (next index, chosen divisors, their gcd or lcm); every extension of a
     # non-face is a non-face, so only faces are pushed
@@ -504,7 +480,7 @@ def _chain_sums(divs, start, op):
     not divide each other as broken masks; start, the state of the empty
     chain, is not in divs."""
     apart = [1 << i | 1 << j for j in range(len(divs)) for i in range(j) if divs[j] % divs[i]]
-    hist = _image_fold(len(divs), start, lambda i, s: op(s, divs[i]), lambda s: s, None, apart)
+    hist = _op_fold(divs, start, op, apart)
     return {d: -hist.get(d, 0) for d in divs}
 
 
@@ -514,7 +490,7 @@ def chain_gcd_inner_sums(n):
 
     Each value equals -mu(n/d).
     """
-    divs = [d for d in divisors(n) if d != n]
+    divs = _divisor_domain(n, math.gcd, modified_domain=True)
     if len(divs) > CHAIN_CAP:
         raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
     return _chain_sums(divs, 0, math.gcd)
@@ -526,7 +502,7 @@ def chain_lcm_inner_sums(n):
 
     Each value equals mu(d).
     """
-    divs = [d for d in divisors(n) if d != 1]
+    divs = _divisor_domain(n, math.lcm, modified_domain=True)
     if len(divs) > CHAIN_CAP:
         raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
     return {d: -count for d, count in _chain_sums(divs, 1, math.lcm).items()}

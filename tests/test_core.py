@@ -1,3 +1,4 @@
+import argparse
 import gc
 import itertools
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brokencircuits import cli, core
 from brokencircuits.algebra import IntPolynomial
 from brokencircuits.core import (
     CircuitFamily,
@@ -30,6 +32,9 @@ from brokencircuits.core import (
     verify_cancellation,
 )
 from brokencircuits.errors import CapExceeded, PreconditionError, SchemaError
+from brokencircuits.graphs import Graph, domination_polynomial
+from brokencircuits.hypergraphs import grid_rectangle_hypergraph, hypergraph_chromatic
+from brokencircuits.lattices import Crosscut, blass_sagan_mobius, partition_lattice
 from brokencircuits.numbers import gcd_all
 
 
@@ -719,6 +724,58 @@ def test_image_fold_with_broken_masks_matches_signed_fold_and_brute_force(n):
         if 0 in broken:
             assert _image_fold(n, 0, lambda i, s: s, lambda s: s, None, broken) == {}
     assert _image_fold(0, 7, None, lambda s: s, None, [0]) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_image_fold_prunes_by_the_minimal_masks_alone(data):
+    # duplicates and supersets of a mask prune nothing more, so the sweep
+    # with them equals the sweep with the minimal masks and the brute force
+    from brokencircuits.core import _image_fold
+
+    n = data.draw(st.integers(1, 10), label="n")
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6), label="masks")
+    grown = [m | data.draw(st.integers(0, (1 << n) - 1), label="grown") for m in masks]
+    family = data.draw(st.permutations(masks + masks + grown), label="family")
+    minimal = [m for m in set(family) if not any(b != m and m & b == b for b in family)]
+    ors = data.draw(st.lists(st.integers(0, 63), min_size=n, max_size=n), label="ors")
+    for include, key, state_of_mask in (
+        (lambda i, s: s | 1 << i, lambda s: s, lambda m: m),
+        (lambda i, s: s | ors[i], lambda s: s, lambda m: _over(ors, int.__or__, m)),
+    ):
+        pruned = _image_fold(n, 0, include, key, None, family)
+        assert pruned == _image_fold(n, 0, include, key, None, minimal)
+        assert pruned == _brute_fold(n, state_of_mask, minimal)
+
+
+def _whitney_route(bad):
+    doc = {"kind": "whitney", "elements": ["a", "b", "c"], "circuits": [["a", "b", "c"]],
+           "broken": [sorted(bad)], "function": {"kind": "sign"}}
+    return cli._whitney_sum(argparse.Namespace(permute_order=None), doc, core)
+
+
+def _hypergraph_route(bad):
+    hg, family = grid_rectangle_hypergraph(2, 3)
+    return hypergraph_chromatic(hg, "restricted", family, broken=[bad])
+
+
+def _blass_sagan_route(bad):
+    p4 = partition_lattice(4)
+    atoms = p4.atoms()
+    return blass_sagan_mobius(p4, Crosscut(p4, atoms, [(atoms[0], atoms[1])]), subfamily=[bad])
+
+
+@pytest.mark.parametrize("route, bad", [
+    (_whitney_route, frozenset({"b"})),
+    (lambda bad: domination_polynomial(Graph.path(3), "pruned", broken=[bad]), frozenset({0})),
+    (_hypergraph_route, frozenset({0})),
+    (_blass_sagan_route, frozenset(partition_lattice(4).atoms()[:1])),
+])
+def test_every_pruned_route_refuses_a_set_that_is_not_derived(route, bad):
+    # each route chooses its broken sub-family through one core check
+    with pytest.raises(PreconditionError) as info:
+        route(bad)
+    assert str(info.value).startswith(f"{sorted(map(repr, bad))} is not ")
 
 
 def test_chain_subsets_match_recursive_walk():

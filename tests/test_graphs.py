@@ -340,6 +340,20 @@ class TestDomination:
             assert domination_polynomial(g, "alternating") == direct
             assert domination_polynomial(g, "pruned") == direct
 
+    def test_alternating_matches_direct_and_oracle_on_random_graphs(self):
+        # alternating runs the settled sweep of pruned with no masks, so it
+        # alone meets isolated vertices and the empty graph
+        rng = random.Random(19)
+        graphs = [Graph([], []), Graph([0], []), Graph(range(4), [(0, 1)])]
+        while len(graphs) < 30:
+            graphs.append(random_graph(rng, rng.randint(1, 9), rng.choice((0.1, 0.3, 0.6))))
+        assert sum(any(g.degree(v) == 0 for v in g.vertices) for g in graphs) >= 10
+        for g in graphs:
+            direct = domination_polynomial(g, "direct")
+            assert domination_polynomial(g, "alternating") == direct, g.edges
+            counts = oracle_dominating(g)
+            assert [direct.coefficient(k) for k in range(len(counts))] == list(counts), g.edges
+
     def test_broken_neighbourhoods_p3(self):
         # vertex 2 is the maximum of N[1] = {0,1,2}? no: N[2] = {1,2}, and
         # 2 = max N[2], giving broken neighbourhood {1}

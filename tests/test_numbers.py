@@ -425,3 +425,19 @@ def test_numbers_walks_leave_no_reference_cycles():
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("op", [math.gcd, math.lcm])
+def test_divisor_domain_at_both_ends(op):
+    # the open divisor interval, or with the modified domain every divisor
+    # but n (gcd sums) or but 1 (lcm sums); primes have only the latter
+    from brokencircuits.numbers import _divisor_domain
+
+    assert _divisor_domain(1, op) == [] == _divisor_domain(1, op, modified_domain=True)
+    for p in (2, 7, 97):
+        with pytest.raises(PreconditionError, match="use the modified domain"):
+            _divisor_domain(p, op)
+        assert _divisor_domain(p, op, modified_domain=True) == ([1] if op is math.gcd else [p])
+    assert _divisor_domain(12, op) == [2, 3, 4, 6]
+    modified = [1, 2, 3, 4, 6] if op is math.gcd else [2, 3, 4, 6, 12]
+    assert _divisor_domain(12, op, modified_domain=True) == modified
