@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import islice, zip_longest
 
-from .errors import SchemaError
+from .errors import CrossCheckFailed, SchemaError
 
 
 def _strip(coeffs):
@@ -60,6 +60,27 @@ class IntPolynomial:
     @classmethod
     def x(cls):
         return cls((0, 1))
+
+    @classmethod
+    def from_terms(cls, terms):
+        """Polynomial from an {exponent: coefficient} mapping, such as a sweep's histogram."""
+        coeffs = [0] * (max(terms, default=-1) + 1)
+        for power, c in terms.items():
+            coeffs[power] = c
+        return cls(coeffs)
+
+    @classmethod
+    def from_whitney_counts(cls, top, counts):
+        """Whitney's form: the coefficient of x^(top - k) is (-1)^k counts[k].
+
+        ``counts[k]`` counts the k-subsets that hold no broken circuit, and
+        ``top`` is |V| for a chromatic polynomial or r(E) for a
+        characteristic polynomial.  Those subsets are independent, so a
+        nonzero count past ``top`` raises ``CrossCheckFailed``.
+        """
+        if any(counts[top + 1:]):
+            raise CrossCheckFailed(f"a broken-circuit-free subset has more than {top} elements")
+        return cls.from_terms({top - k: -b if k & 1 else b for k, b in enumerate(counts[:top + 1])})
 
     @property
     def degree(self):

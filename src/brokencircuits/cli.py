@@ -46,9 +46,11 @@ def _graph_chromatic(args, doc, graphs):
     method = args.method or "broken_circuit"
     out = {"method": method}
     if method == "broken_circuit":
+        from .algebra import IntPolynomial
+
         counts = graphs.whitney_edge_counts(g)
         out["counts"] = list(counts)
-        poly = graphs._chromatic_from_counts(g, counts)
+        poly = IntPolynomial.from_whitney_counts(len(g.vertices), counts)
     else:
         poly = graphs.chromatic_polynomial(g, method)
     out["polynomial"] = poly.to_json()
@@ -90,10 +92,11 @@ def _matroid_characteristic(args, doc, matroids):
     method = args.method or "broken_circuit"
     out = {"method": method}
     if method == "broken_circuit":
-        matroids._check_sum_cap(m, "characteristic polynomial")
+        from .algebra import IntPolynomial
+
         counts = matroids.broken_circuit_counts(m)
         out["counts"] = list(counts)
-        poly = matroids._characteristic_from_counts(m, counts)
+        poly = IntPolynomial.from_whitney_counts(m.full_rank, counts)
     else:
         poly = matroids.characteristic_polynomial(m, method)
     out["polynomial"] = poly.to_json()

@@ -710,12 +710,28 @@ class FinitePoset:
                     return False
         return True
 
+    def _chain_count(self):
+        """Number of chains, the empty chain included: c(x) = 1 + sum of
+        c(y) over y < x counts the chains with top x, in linear-extension order."""
+        tops = [0] * len(self.elements)
+        for e in self.linear_extension():
+            i = self._idx[e]
+            tops[i] = 1 + sum(tops[j] for j in _bits(self._down[i] ^ 1 << i))
+        return 1 + sum(tops)
+
     def _pair_ground(self, comparable=False, elements=None):
         """``(ground, pairs)`` for a sum pruned by pairs: ``elements``, by
         default the linear extension, as a ground set with no element cap,
         and the pairs of them, in ground order, that are incomparable, so
         that the avoiding subsets are the chains, or with ``comparable`` the
-        comparable pairs, so that they are the antichains."""
+        comparable pairs, so that they are the antichains.  A chain walk
+        yields every chain, so past 2^FULL_SUM_FEASIBLE chains it is refused
+        before it starts."""
+        if not comparable:
+            chains = self._chain_count()
+            if chains > 1 << FULL_SUM_FEASIBLE:
+                raise CapExceeded(f"the poset has {chains} chains; a chain walk needs at most "
+                                  f"2^{FULL_SUM_FEASIBLE}")
         elements = self.linear_extension() if elements is None else tuple(elements)
         index = [self._index(e) for e in elements]
         rows = [self._up[i] | self._down[i] for i in index]

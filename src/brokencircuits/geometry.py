@@ -37,7 +37,7 @@ class ClosureSystem:
 
     def __init__(self, ground, closed_sets):
         if not isinstance(ground, OrderedGroundSet):
-            ground = OrderedGroundSet(ground, cap=CLOSURE_CAP)
+            ground = OrderedGroundSet(ground)
         if len(ground) > CLOSURE_CAP:
             raise CapExceeded(f"closure systems are capped at {CLOSURE_CAP} elements")
         self.ground = ground
@@ -137,14 +137,10 @@ class ConvexGeometry:
             self._basis[cm] = ex
 
     def _extreme_mask(self, cm):
-        ex = 0
-        m = cm
-        while m:
-            bit = m & -m
-            if not self.system.hull_mask(cm ^ bit) & bit:
-                ex |= bit
-            m ^= bit
-        return ex
+        """Extreme points of a closed set C: hull(C - e) is C - e or C, so e
+        is extreme exactly when C - e is closed."""
+        closed = self.system._mask_set
+        return sum(1 << i for i in _bits(cm) if cm ^ 1 << i in closed)
 
     def __repr__(self):
         return f"ConvexGeometry({self.system!r})"
@@ -242,9 +238,7 @@ def closure_from_circuits(ground, family):
     is asserted.
     """
     if not isinstance(ground, OrderedGroundSet):
-        ground = OrderedGroundSet(ground, cap=CLOSURE_CAP)
-    if len(ground) > CLOSURE_CAP:
-        raise CapExceeded(f"closure construction is capped at {CLOSURE_CAP} elements")
+        ground = OrderedGroundSet(ground)
     broken = derive_broken_circuits(family, ground)
     rules = []
     for bc in broken:
@@ -254,21 +248,22 @@ def closure_from_circuits(ground, family):
                 f"broken circuit {sorted(map(repr, bc.subset))} has no witness element above it"
             )
         rules.append((ground.mask_of(bc.subset), 1 << ground.position(c)))
-    n = len(ground)
-    closed = []
-    for mask in range(1 << n):
-        stable = True
-        for bmask, cbit in rules:
-            if mask & bmask == bmask and not mask & cbit:
-                stable = False
-                break
-        if stable:
-            closed.append(ground.subset_of(mask))
-    geometry = ConvexGeometry(ClosureSystem(ground, closed))
+    geometry = _scanned_geometry(
+        ground, lambda mask: all(mask & bmask != bmask or mask & cbit for bmask, cbit in rules))
     avoiding = set(iter_avoiding_masks(ground, [bc.subset for bc in broken]))
     if geometry.free_mask_set() != avoiding:
         raise CrossCheckFailed("free sets differ from the broken-circuit-avoiding subsets")
     return geometry
+
+
+def _scanned_geometry(ground, is_closed):
+    """The convex geometry whose closed sets are the masks over ``ground``
+    that pass ``is_closed``: one scan of all 2^n masks, refused past
+    CLOSURE_CAP before it starts."""
+    if len(ground) > CLOSURE_CAP:
+        raise CapExceeded(f"closure systems are capped at {CLOSURE_CAP} elements")
+    closed = [ground.subset_of(mask) for mask in range(1 << len(ground)) if is_closed(mask)]
+    return ConvexGeometry(ClosureSystem(ground, closed))
 
 
 def interval_geometry(n):
@@ -283,14 +278,10 @@ def interval_geometry(n):
 
 def ideal_geometry(poset):
     """Closed sets are the down-sets of a poset; bases are the maxima."""
-    ground = OrderedGroundSet(poset.elements, cap=CLOSURE_CAP)
     down = poset._down
-    closed = []
-    for mask in range(1 << len(ground)):
-        # a down-set holds the down-set of each of its members
-        if not any(down[i] & ~mask for i in _bits(mask)):
-            closed.append(ground.subset_of(mask))
-    return ConvexGeometry(ClosureSystem(ground, closed))
+    # a down-set holds the down-set of each of its members
+    return _scanned_geometry(OrderedGroundSet(poset.elements),
+                             lambda mask: not any(down[i] & ~mask for i in _bits(mask)))
 
 
 def _orient(a, b, c):
@@ -323,22 +314,18 @@ def planar_point_geometry(points):
     pts = [tuple(p) for p in points]
     if len(set(pts)) != len(pts):
         raise SchemaError("points must be pairwise distinct")
-    ground = OrderedGroundSet(pts, cap=CLOSURE_CAP)
     n = len(pts)
-    closed = []
-    for mask in range(1 << n):
+
+    def is_closed(mask):
         inside = [pts[i] for i in range(n) if mask >> i & 1]
-        outside = [pts[i] for i in range(n) if not mask >> i & 1]
-        if all(not _in_hull(p, inside) for p in outside):
-            closed.append(frozenset(inside))
-    return ConvexGeometry(ClosureSystem(ground, closed))
+        return not any(_in_hull(pts[i], inside) for i in range(n) if not mask >> i & 1)
+
+    return _scanned_geometry(OrderedGroundSet(pts), is_closed)
 
 
 def discrete_geometry(labels):
     """Every subset closed; the hull is the identity."""
-    ground = OrderedGroundSet(labels, cap=CLOSURE_CAP)
-    closed = [ground.subset_of(m) for m in range(1 << len(ground))]
-    return ConvexGeometry(ClosureSystem(ground, closed))
+    return _scanned_geometry(OrderedGroundSet(labels), lambda mask: True)
 
 
 def random_geometry(rng, max_size=8):

@@ -31,7 +31,7 @@ from .core import (
     derive_broken_circuits,
     enumerate_avoiding,
 )
-from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
+from .errors import CapExceeded, PreconditionError, SchemaError
 
 CYCLE_CAP = 20
 
@@ -115,30 +115,10 @@ class Graph:
         """c(V, A): connected components of the spanning subgraph (V, A)."""
         return _component_count(len(self.vertices), map(self._edge_ends.__getitem__, edge_ids))
 
-    def _induced_stats_of_mask(self, vertex_mask):
-        """(components, edges) of the subgraph induced by a vertex bitmask.
-
-        Floods each component through the closed-neighbourhood masks; every
-        vertex is reached once, and its neighbours inside the mask count
-        its induced edges (each edge is seen from both ends).
-        """
-        nmask = self._nmask
-        count = 0
-        closed_degrees = 0
-        rest = vertex_mask
-        while rest:
-            count += 1
-            frontier = rest & -rest
-            rest ^= frontier
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                inside = nmask[low] & vertex_mask
-                closed_degrees += inside.bit_count()
-                new = inside & rest
-                rest ^= new
-                frontier |= new
-        return count, (closed_degrees - vertex_mask.bit_count()) // 2
+    def _induced_edge_ends(self, vertices):
+        """(A as vertex indices, E(A) as index pairs) for a vertex subset A."""
+        inside = {self._vi[v] for v in vertices}
+        return inside, [(a, b) for a, b in self._edge_ends if a in inside and b in inside]
 
     def _induced_sweep(self, weight=0, broken=()):
         """Signed histogram {weight * |A| + c(G[A]): sum of (-1)^|A|} over the
@@ -183,16 +163,14 @@ class Graph:
         return settled
 
     def induced_component_count(self, vertices):
-        mask = 0
-        for v in vertices:
-            mask |= 1 << self._vi[v]
-        return self._induced_stats_of_mask(mask)[0]
+        """c(G[A]) = c(V, E(A)) - (|V| - |A|): each vertex outside A is a
+        component of (V, E(A)) on its own."""
+        inside, edges = self._induced_edge_ends(vertices)
+        n = len(self.vertices)
+        return _component_count(n, edges) - (n - len(inside))
 
     def induced_edge_count(self, vertices):
-        mask = 0
-        for v in vertices:
-            mask |= 1 << self._vi[v]
-        return self._induced_stats_of_mask(mask)[1]
+        return len(self._induced_edge_ends(vertices)[1])
 
     def reorder_vertices(self, new_order):
         new_order = tuple(new_order)
@@ -261,18 +239,6 @@ def whitney_edge_counts(graph):
     return enumerate_avoiding(edge_ground(graph), edge_broken_circuits(graph))
 
 
-def _chromatic_from_counts(graph, counts):
-    """P(G, x) from the Whitney counts: the coefficient of x^{|V|-k} is (-1)^k b_k."""
-    n = len(graph.vertices)
-    coeffs = [0] * (n + 1)
-    for k, b in enumerate(counts):
-        if b and k > n:
-            raise CrossCheckFailed("broken-circuit-free subset larger than a spanning forest")
-        if k <= n:
-            coeffs[n - k] = -b if k & 1 else b
-    return IntPolynomial(coeffs)
-
-
 def chromatic_polynomial(graph, method="broken_circuit"):
     """P(G, x) = sum over edge subsets A of (-1)^|A| x^{c(V, A)}.
 
@@ -284,12 +250,9 @@ def chromatic_polynomial(graph, method="broken_circuit"):
         if len(graph.edges) > FULL_SUM_FEASIBLE:
             raise CapExceeded(f"the full sum over 2^{len(graph.edges)} edge subsets needs "
                               f"|E| <= {FULL_SUM_FEASIBLE}")
-        coeffs = [0] * (len(graph.vertices) + 1)
-        for c, count in _component_histogram(len(graph.vertices), graph._edge_ends).items():
-            coeffs[c] = count
-        return IntPolynomial(coeffs)
+        return IntPolynomial.from_terms(_component_histogram(len(graph.vertices), graph._edge_ends))
     if method == "broken_circuit":
-        return _chromatic_from_counts(graph, whitney_edge_counts(graph))
+        return IntPolynomial.from_whitney_counts(len(graph.vertices), whitney_edge_counts(graph))
     raise SchemaError(f"unknown chromatic method {method!r}")
 
 
@@ -370,10 +333,7 @@ def q_at_minus_one(graph, method="direct"):
 
             hist = _image_fold(n, (0, 0), include, itemgetter(1),
                                lambda i, state: (state[0] & keep[i], state[1]), broken)
-    coeffs = [0] * (n + 1)
-    for c, count in hist.items():
-        coeffs[c] = count
-    return IntPolynomial(coeffs)
+    return IntPolynomial.from_terms(hist)
 
 
 def broken_neighbourhoods(graph):
@@ -410,11 +370,7 @@ def domination_polynomial(graph, method="direct", broken=None):
             n, 0, lambda i, s: (s | nbs[i]) + step,
             lambda s: s >> n if s & full == full else -1,
         )
-        coeffs = [0] * (n + 1)
-        for k, count in hist.items():
-            if k >= 0:
-                coeffs[k] = abs(count)
-        return IntPolynomial(coeffs)
+        return IntPolynomial.from_terms({k: abs(count) for k, count in hist.items() if k >= 0})
     if method not in ("alternating", "pruned"):
         raise SchemaError(f"unknown method {method!r}")
     masks = ()

@@ -68,16 +68,6 @@ class Hypergraph:
         """c(V, A): components when the chosen edges glue their vertices together."""
         return _component_count(len(self.vertices), map(self._edge_vidx.__getitem__, edge_ids))
 
-    def _components_of_mask(self, edge_mask):
-        ids = []
-        i = 0
-        while edge_mask:
-            if edge_mask & 1:
-                ids.append(i)
-            edge_mask >>= 1
-            i += 1
-        return self.spanning_component_count(ids)
-
 
 def edge_ground(hypergraph):
     return OrderedGroundSet(range(len(hypergraph.edges)), cap=max(24, len(hypergraph.edges)))
@@ -150,14 +140,11 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
     which must pass the self-covering or the pair-upset condition.
     """
     n = len(hypergraph.vertices)
-    coeffs = [0] * (n + 1)
     if method == "full":
         if len(hypergraph.edges) > FULL_SUM_FEASIBLE:
             raise CapExceeded(f"the full sum over 2^{len(hypergraph.edges)} edge subsets needs "
                               f"|E| <= {FULL_SUM_FEASIBLE}")
-        for c, count in _component_histogram(n, hypergraph._edge_vidx).items():
-            coeffs[c] = count
-        return IntPolynomial(coeffs)
+        return IntPolynomial.from_terms(_component_histogram(n, hypergraph._edge_vidx))
     if method != "restricted":
         raise SchemaError(f"unknown method {method!r}")
     if circuits is None:
@@ -174,10 +161,7 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
     if bound > 1 << FULL_SUM_FEASIBLE:
         raise CapExceeded(f"up to {bound} of the 2^{len(ground)} edge subsets avoid the broken "
                           f"circuits; the restricted sum needs at most 2^{FULL_SUM_FEASIBLE}")
-    hist = _component_histogram(n, hypergraph._edge_vidx, masks)
-    for c, count in hist.items():
-        coeffs[c] = count
-    return IntPolynomial(coeffs)
+    return IntPolynomial.from_terms(_component_histogram(n, hypergraph._edge_vidx, masks))
 
 
 def tight_cycles(hypergraph, l):

@@ -157,10 +157,6 @@ class Matroid:
             mask ^= low
         return acc.bit_count()
 
-    def _signed_rank_histogram(self):
-        """Nonzero {r(A): sum of (-1)^|A|} over all A, swept over contracted minors."""
-        return _minor_sweep(self)
-
     def rank(self, subset):
         """Size of a maximal circuit-free subset, built greedily in ground order."""
         return self._rank_mask(self._mask(frozenset(subset)))
@@ -211,9 +207,11 @@ def _minor_sweep(matroid, broken=(), strict=False):
     The state is one int: a "just taken" flag in bit 0, one bit per class
     above it, and the rank above those.  With ``strict`` a loop raises
     ``CrossCheckFailed``, since every subset left by the broken masks must
-    be independent.
+    be independent.  Past ``SUM_CAP`` elements the sweep is refused.
     """
     n = len(matroid.elements)
+    if n > SUM_CAP:
+        raise CapExceeded(f"the rank and broken-circuit sums need |E| <= {SUM_CAP}")
     masks = matroid._circuit_masks
     shift = len(masks) + 1
     # per position: the class of the circuits with that maximum, the mask
@@ -284,35 +282,14 @@ def broken_circuit_counts(matroid):
     return tuple(counts)
 
 
-def _check_sum_cap(matroid, what):
-    if len(matroid.elements) > SUM_CAP:
-        raise CapExceeded(f"{what} needs |E| <= {SUM_CAP}")
-
-
 def characteristic_polynomial(matroid, method="broken_circuit"):
     """chi(M, x) = sum over subsets A of (-1)^|A| x^{r(E) - r(A)}."""
-    _check_sum_cap(matroid, "characteristic polynomial")
-    if method == "full":
-        re = matroid.full_rank
-        coeffs = [0] * (re + 1)
-        for r, count in matroid._signed_rank_histogram().items():
-            coeffs[re - r] = count
-        return IntPolynomial(coeffs)
-    if method == "broken_circuit":
-        return _characteristic_from_counts(matroid, broken_circuit_counts(matroid))
-    raise SchemaError(f"unknown method {method!r}")
-
-
-def _characteristic_from_counts(matroid, counts):
-    """chi(M, x) from the counts b_k: the coefficient of x^{r(E)-k} is (-1)^k b_k."""
     re = matroid.full_rank
-    coeffs = [0] * (re + 1)
-    for k, b in enumerate(counts):
-        if b and k > re:
-            raise CrossCheckFailed("independent subset larger than the rank")
-        if k <= re:
-            coeffs[re - k] = -b if k & 1 else b
-    return IntPolynomial(coeffs)
+    if method == "full":
+        return IntPolynomial.from_terms({re - r: count for r, count in _minor_sweep(matroid).items()})
+    if method == "broken_circuit":
+        return IntPolynomial.from_whitney_counts(re, broken_circuit_counts(matroid))
+    raise SchemaError(f"unknown method {method!r}")
 
 
 def beta_invariant(matroid, method="full"):
@@ -321,11 +298,10 @@ def beta_invariant(matroid, method="full"):
     full: (-1)^{r(E)} sum (-1)^|A| r(A); broken_circuit: the same with
     k b_k counts; derivative: from the slope of chi at 1.
     """
-    _check_sum_cap(matroid, "beta invariant")
     re = matroid.full_rank
     sign = -1 if re & 1 else 1
     if method == "full":
-        return sign * sum(r * count for r, count in matroid._signed_rank_histogram().items())
+        return sign * sum(r * count for r, count in _minor_sweep(matroid).items())
     if method == "broken_circuit":
         return sign * sum((-1) ** k * k * b for k, b in enumerate(broken_circuit_counts(matroid)))
     if method == "derivative":

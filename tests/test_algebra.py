@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brokencircuits.algebra import BiPolynomial, IntPolynomial
-from brokencircuits.errors import SchemaError
+from brokencircuits.errors import CrossCheckFailed, SchemaError
 
 X = IntPolynomial.x()
 
@@ -25,6 +25,23 @@ class TestIntPolynomial:
     def test_add_cancels_middle(self):
         # (x^3 - 3x^2 + 2x) + 3x^2 = x^3 + 2x
         assert poly(0, 2, -3, 1) + poly(0, 0, 3) == poly(0, 2, 0, 1)
+
+    def test_from_terms(self):
+        assert IntPolynomial.from_terms({}) == IntPolynomial.zero()
+        assert IntPolynomial.from_terms({5: -2, 0: 1}) == poly(1, 0, 0, 0, 0, -2)
+        # zero coefficients are kept inside and stripped at the top
+        assert IntPolynomial.from_terms({3: 0, 1: 2, 0: 0}) == poly(0, 2)
+        assert IntPolynomial.from_terms({4: 0}).coeffs == ()
+
+    def test_from_whitney_counts(self):
+        # K3: b = (1, 3, 2, 0) and |V| = 3 give x^3 - 3x^2 + 2x
+        assert IntPolynomial.from_whitney_counts(3, (1, 3, 2, 0)) == poly(0, 2, -3, 1)
+        # counts may stop short of the top, and zero counts past it are fine
+        assert IntPolynomial.from_whitney_counts(4, (1, 2)) == poly(0, 0, 0, -2, 1)
+        assert IntPolynomial.from_whitney_counts(1, [1, 1, 0, 0]) == poly(-1, 1)
+        assert IntPolynomial.from_whitney_counts(0, ()) == IntPolynomial.zero()
+        with pytest.raises(CrossCheckFailed, match="more than 2 elements"):
+            IntPolynomial.from_whitney_counts(2, (1, 3, 2, 1))
 
     def test_eval_counts_k3_colourings(self):
         # brute-force oracle: proper 3-colourings of a triangle

@@ -474,6 +474,18 @@ class TestExitCodes:
         assert "--cap-elements" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_matroid_past_the_sum_cap_exits_3(self, tmp_path, capsys):
+        # both matroid sums run in matroids._minor_sweep, which refuses past SUM_CAP
+        path = write(tmp_path, "u221.json", {"kind": "matroid", "uniform": [2, matroids.SUM_CAP + 1]})
+        for argv in (["matroid-characteristic", path], ["matroid-characteristic", path, "--method", "full"],
+                     ["matroid-beta", path]):
+            code, out, err = run(capsys, "compute", *argv)
+            assert (code, out) == (3, None), argv
+            assert err == f"cap exceeded: the rank and broken-circuit sums need |E| <= {matroids.SUM_CAP}\n"
+        # an unknown method is a schema error before any sum runs
+        code, out, err = run(capsys, "compute", "matroid-characteristic", path, "--method", "bogus")
+        assert (code, out) == (2, None)
+
     def test_boolean_lattice_past_the_cap_is_refused_up_front(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "generate", "boolean-lattice", "--n", "11")

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from brokencircuits.core import (
 from brokencircuits.errors import CapExceeded, PreconditionError, SchemaError
 from brokencircuits.graphs import Graph, domination_polynomial
 from brokencircuits.hypergraphs import grid_rectangle_hypergraph, hypergraph_chromatic
-from brokencircuits.lattices import Crosscut, blass_sagan_mobius, partition_lattice
+from brokencircuits.lattices import Crosscut, blass_sagan_mobius, boolean_lattice, partition_lattice
 from brokencircuits.numbers import gcd_all
 
 
@@ -964,6 +965,25 @@ class TestSumOverChains:
         p = FinitePoset("ab", [])
         with pytest.raises(PreconditionError):
             sum_over_chains(sign_function(), p, check=False)
+
+    def test_chain_count_matches_the_walk_and_refuses_b8_up_front(self):
+        rng = random.Random(29)
+        posets = [FinitePoset([], []), FinitePoset("ab", []), boolean_lattice(5), partition_lattice(4)]
+        while len(posets) < 30:
+            n = rng.randint(1, 9)
+            covers = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+            posets.append(FinitePoset.from_covers(rng.sample(range(n), n), covers))
+        for p in posets:
+            assert p._chain_count() == len(list(p.chain_subsets())), p.elements
+        assert (posets[2]._chain_count(), posets[3]._chain_count()) == (2164, 128)
+        b8 = boolean_lattice(8)
+        family = IndexedSetFamily(OrderedGroundSet(b8.elements, cap=len(b8)), {e: () for e in b8.elements})
+        start = time.perf_counter()
+        for walk in (lambda: sum_over_chains(sign_function(), b8, check=False),
+                     lambda: next(b8.chain_subsets()), lambda: narushima_union(b8, family)):
+            with pytest.raises(CapExceeded, match="has 2183340 chains"):
+                walk()
+        assert time.perf_counter() - start < 2
 
 
 class TestRandomSemilattices:

@@ -203,6 +203,8 @@ class TestHullAxioms:
             for closed in cg.system.closed_sets:
                 basis = cg.basis(closed)
                 assert cg.hull(basis) == closed
+                # the extreme points, each found by a hull scan
+                assert basis == {e for e in closed if e not in cg.hull(closed - {e})}
                 for r in range(len(basis)):
                     for sub in itertools.combinations(basis, r):
                         assert cg.hull(sub) != closed or frozenset(sub) == basis

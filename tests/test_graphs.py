@@ -443,7 +443,7 @@ class TestSettledSweeps:
             n = len(g.vertices)
             counted, sized = {}, {}
             for mask in range(1 << n):
-                c = g._induced_stats_of_mask(mask)[0]
+                c = g.induced_component_count(g.vertices[i] for i in range(n) if mask >> i & 1)
                 sign = -1 if mask.bit_count() & 1 else 1
                 counted[c] = counted.get(c, 0) + sign
                 stat = (n + 1) * mask.bit_count() + c
@@ -676,7 +676,8 @@ class TestFoldedPrunedRoutes:
                 restricted, acyclic = [0] * (n + 1), [0] * (n + 1)
                 for mask in iter_avoiding_masks(OrderedGroundSet(g.vertices), vertex_broken_circuits(g)):
                     sign = -1 if mask.bit_count() & 1 else 1
-                    components, edges = g._induced_stats_of_mask(mask)
+                    subset = [g.vertices[i] for i in range(n) if mask >> i & 1]
+                    components, edges = g.induced_component_count(subset), g.induced_edge_count(subset)
                     restricted[components] += sign
                     acyclic[mask.bit_count() - edges] += sign
                 assert q_at_minus_one(g, "restricted") == IntPolynomial(restricted), g.edges

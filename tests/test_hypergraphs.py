@@ -228,7 +228,7 @@ class TestCancellationDirect:
                 sub = free
                 while True:
                     a = cmask | sub
-                    assert hg._components_of_mask(a) == hg._components_of_mask(a & ~top)
+                    assert hg.spanning_component_count(_ids(a)) == hg.spanning_component_count(_ids(a & ~top))
                     if sub == 0:
                         break
                     sub = (sub - 1) & free
@@ -293,8 +293,13 @@ def test_full_route_matches_per_subset_components():
         m = len(hg.edges)
         coeffs = [0] * (len(hg.vertices) + 1)
         for mask in range(1 << m):
-            coeffs[hg._components_of_mask(mask)] += -1 if mask.bit_count() & 1 else 1
+            coeffs[hg.spanning_component_count(_ids(mask))] += -1 if mask.bit_count() & 1 else 1
         assert hypergraph_chromatic(hg, "full") == IntPolynomial(coeffs), hg.edges
+
+
+def _ids(mask):
+    """Positions of the set bits of an edge mask."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _brute_berge_cycle(hg, ids):
@@ -338,7 +343,7 @@ def test_restricted_route_with_chosen_broken_circuits():
             coeffs = [0] * (len(hg.vertices) + 1)
             for mask in range(1 << m):
                 if not any(mask & b == b for b in masks):
-                    coeffs[hg._components_of_mask(mask)] += -1 if mask.bit_count() & 1 else 1
+                    coeffs[hg.spanning_component_count(_ids(mask))] += -1 if mask.bit_count() & 1 else 1
             got = hypergraph_chromatic(hg, "restricted", family, broken=chosen)
             assert got == IntPolynomial(coeffs) == full, (rows, cols, chosen)
 
