@@ -21,6 +21,7 @@ import math
 import sys
 
 from . import io
+from .core import WORK_BUDGET, _within_budget
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 
@@ -32,7 +33,10 @@ def _emit(args, data):
 
 
 def _permutation(spec, size):
-    positions = [int(x) for x in spec.split(",")]
+    try:
+        positions = [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise SchemaError(f"--permute-order must list integers, got {spec!r}") from None
     if sorted(positions) != list(range(size)):
         raise SchemaError(f"--permute-order must be a permutation of 0..{size - 1}")
     return positions
@@ -161,7 +165,7 @@ def _whitney_sum(args, doc, core):
         report = core.verify_cancellation(f, circuits, ground)
         cancellation = "verified" if report.ok else "violated"
     pruned = core.sum_pruned(f, ground, chosen)
-    full = core.sum_full(f, ground) if len(ground) <= core.FULL_SUM_FEASIBLE else None
+    full = core.sum_full(f, ground) if 1 << len(ground) <= WORK_BUDGET else None
     out = {
         "cancellation": cancellation,
         "pruned": _value_obj(pruned),
@@ -295,8 +299,8 @@ def _cmd_verify(args):
 
 def _planar_geometry(args, rng, geometry):
     # refused before drawing: the 7x7 grid has 49 points, so past it the draw never ends
-    if args.n > geometry.CLOSURE_CAP:
-        raise CapExceeded(f"closure systems are capped at {geometry.CLOSURE_CAP} elements")
+    _within_budget(2 ** min(args.n, WORK_BUDGET.bit_length()),
+                   f"closure system on {args.n} elements")
     pts = set()
     while len(pts) < args.n:
         pts.add((rng.randint(0, 6), rng.randint(0, 6)))

@@ -29,11 +29,17 @@ from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaErro
 
 DEFAULT_ENUMERATION_CAP = 24
 CANCELLATION_CAP = 18
-# full 2^n edge sums refuse more elements, and sum_full is a cross-check only up to it
-FULL_SUM_FEASIBLE = 20
+# every route refuses up front when the steps it predicts from its inputs pass this
+WORK_BUDGET = 1 << 20
 # iter_avoiding_masks expands a free suffix of at most this many elements
 # from a table of 2^SUFFIX_CUBE_BITS masks
 SUFFIX_CUBE_BITS = 10
+
+
+def _within_budget(work, what):
+    """Refuse, naming the input size ``what``, ``work`` steps past WORK_BUDGET."""
+    if work > WORK_BUDGET:
+        raise CapExceeded(f"{what}: past the work budget of {WORK_BUDGET} steps")
 
 
 def _bits(mask):
@@ -725,13 +731,11 @@ class FinitePoset:
         and the pairs of them, in ground order, that are incomparable, so
         that the avoiding subsets are the chains, or with ``comparable`` the
         comparable pairs, so that they are the antichains.  A chain walk
-        yields every chain, so past 2^FULL_SUM_FEASIBLE chains it is refused
-        before it starts."""
+        yields every chain, so it is refused before it starts when the chains
+        pass the work budget."""
         if not comparable:
             chains = self._chain_count()
-            if chains > 1 << FULL_SUM_FEASIBLE:
-                raise CapExceeded(f"the poset has {chains} chains; a chain walk needs at most "
-                                  f"2^{FULL_SUM_FEASIBLE}")
+            _within_budget(chains, f"the poset has {chains} chains")
         elements = self.linear_extension() if elements is None else tuple(elements)
         index = [self._index(e) for e in elements]
         rows = [self._up[i] | self._down[i] for i in index]
@@ -780,7 +784,7 @@ def sum_over_maxima(f, poset, check=True):
                     "cancellation fails across the comparable pair "
                     f"{sorted(map(repr, report.circuit))} at {sorted(map(repr, report.superset))}"
                 )
-    full = sum_full(f, ground) if len(ground) <= FULL_SUM_FEASIBLE else None
+    full = sum_full(f, ground) if 1 << len(ground) <= WORK_BUDGET else None
     return MaximaReduction(restricted, full, report)
 
 

@@ -19,17 +19,17 @@ from __future__ import annotations
 import itertools
 
 from .core import (
+    WORK_BUDGET,
     OrderedGroundSet,
     _bits,
     _group_sum,
     _image_fold,
+    _within_budget,
     derive_broken_circuits,
     iter_avoiding_masks,
     sum_full,
 )
-from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
-
-CLOSURE_CAP = 20
+from .errors import CrossCheckFailed, PreconditionError, SchemaError
 
 
 class ClosureSystem:
@@ -38,8 +38,7 @@ class ClosureSystem:
     def __init__(self, ground, closed_sets):
         if not isinstance(ground, OrderedGroundSet):
             ground = OrderedGroundSet(ground)
-        if len(ground) > CLOSURE_CAP:
-            raise CapExceeded(f"closure systems are capped at {CLOSURE_CAP} elements")
+        _within_budget(1 << len(ground), f"closure system on {len(ground)} elements")
         self.ground = ground
         full = (1 << len(ground)) - 1
         masks = sorted({ground.mask_of(c) for c in closed_sets})
@@ -258,16 +257,16 @@ def closure_from_circuits(ground, family):
 
 def _scanned_geometry(ground, is_closed):
     """The convex geometry whose closed sets are the masks over ``ground``
-    that pass ``is_closed``: one scan of all 2^n masks, refused past
-    CLOSURE_CAP before it starts."""
-    if len(ground) > CLOSURE_CAP:
-        raise CapExceeded(f"closure systems are capped at {CLOSURE_CAP} elements")
+    that pass ``is_closed``: one scan of all 2^n masks, refused before it
+    starts when they pass the work budget."""
+    _within_budget(1 << len(ground), f"closure system on {len(ground)} elements")
     closed = [ground.subset_of(mask) for mask in range(1 << len(ground)) if is_closed(mask)]
     return ConvexGeometry(ClosureSystem(ground, closed))
 
 
 def interval_geometry(n):
     """Points 1..n on a line; closed sets are the intervals."""
+    _within_budget(2 ** min(n, WORK_BUDGET.bit_length()), f"closure system on {n} elements")
     labels = range(1, n + 1)
     closed = [frozenset()]
     for i in range(1, n + 1):

@@ -20,7 +20,6 @@ from operator import itemgetter
 from .algebra import BiPolynomial, IntPolynomial
 from .core import (
     CircuitFamily,
-    FULL_SUM_FEASIBLE,
     OrderedGroundSet,
     _block_settler,
     _broken_masks,
@@ -28,6 +27,7 @@ from .core import (
     _component_count,
     _component_histogram,
     _image_fold,
+    _within_budget,
     derive_broken_circuits,
     enumerate_avoiding,
 )
@@ -247,9 +247,8 @@ def chromatic_polynomial(graph, method="broken_circuit"):
     coefficients directly.
     """
     if method == "full":
-        if len(graph.edges) > FULL_SUM_FEASIBLE:
-            raise CapExceeded(f"the full sum over 2^{len(graph.edges)} edge subsets needs "
-                              f"|E| <= {FULL_SUM_FEASIBLE}")
+        m = len(graph.edges)
+        _within_budget(1 << m, f"the full sum over 2^{m} edge subsets")
         return IntPolynomial.from_terms(_component_histogram(len(graph.vertices), graph._edge_ends))
     if method == "broken_circuit":
         return IntPolynomial.from_whitney_counts(len(graph.vertices), whitney_edge_counts(graph))
@@ -276,8 +275,7 @@ def _claw_free_on(graph, cycles):
 def subgraph_component_polynomial(graph):
     """Q(G, x, y) = sum over vertex subsets A of x^|A| y^{c(G[A])}."""
     n = len(graph.vertices)
-    if n > 20:
-        raise CapExceeded("subgraph component polynomial needs |V| <= 20")
+    _within_budget(1 << n, f"the subgraph component sum over 2^{n} vertex subsets")
     # the statistic is (n + 1) |A| + c(G[A]), and c(G[A]) <= n
     hist = graph._induced_sweep(n + 1)
     # every subset under one key has the same size, so its count is |signed count|
@@ -304,12 +302,12 @@ def q_at_minus_one(graph, method="direct"):
     the vertex broken circuits; acyclic additionally rewrites the exponent
     as |A| - m(G[A]), valid because the surviving subsets induce forests.
     The simple cycles are listed once, for the precondition and the
-    broken circuits.  Every method refuses more than 20 vertices up front.
+    broken circuits.  Every method refuses 2^|V| past the work budget.
     """
     if method not in ("direct", "restricted", "acyclic"):
         raise SchemaError(f"unknown method {method!r}")
-    if len(graph.vertices) > 20:
-        raise CapExceeded(f"q_at_minus_one {method} needs |V| <= 20")
+    _within_budget(1 << len(graph.vertices),
+                   f"q_at_minus_one {method} over 2^{len(graph.vertices)} vertex subsets")
     cycles = _vertex_cycles(graph)
     if not _claw_free_on(graph, cycles):
         raise PreconditionError("graph is not cyclically claw-free")
@@ -359,8 +357,7 @@ def domination_polynomial(graph, method="direct", broken=None):
     no isolated vertices.
     """
     n = len(graph.vertices)
-    if n > 20:
-        raise CapExceeded("domination polynomial needs |V| <= 20")
+    _within_budget(1 << n, f"the domination sum over 2^{n} vertex subsets")
     nbs = [graph._nmask[1 << i] for i in range(n)]
     if method == "direct":
         # the state is N[A] with |A| counted in the bits above the n vertex bits
@@ -436,5 +433,6 @@ def degree1_upset_order(graph):
 
 def random_graph(rng, n, p):
     """G(n, p) with vertex labels 0..n-1 and the sampled edge order."""
+    _within_budget(comb(max(n, 0), 2), f"G({n}, p) takes C({n}, 2) draws")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(range(n), edges)

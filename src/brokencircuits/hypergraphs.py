@@ -15,7 +15,6 @@ import itertools
 
 from .algebra import IntPolynomial
 from .core import (
-    FULL_SUM_FEASIBLE,
     CircuitFamily,
     OrderedGroundSet,
     _avoiding_bound,
@@ -23,6 +22,7 @@ from .core import (
     _chosen_broken,
     _component_count,
     _component_histogram,
+    _within_budget,
     derive_broken_circuits,
 )
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
@@ -141,9 +141,8 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
     """
     n = len(hypergraph.vertices)
     if method == "full":
-        if len(hypergraph.edges) > FULL_SUM_FEASIBLE:
-            raise CapExceeded(f"the full sum over 2^{len(hypergraph.edges)} edge subsets needs "
-                              f"|E| <= {FULL_SUM_FEASIBLE}")
+        m = len(hypergraph.edges)
+        _within_budget(1 << m, f"the full sum over 2^{m} edge subsets")
         return IntPolynomial.from_terms(_component_histogram(n, hypergraph._edge_vidx))
     if method != "restricted":
         raise SchemaError(f"unknown method {method!r}")
@@ -158,9 +157,10 @@ def hypergraph_chromatic(hypergraph, method="full", circuits=None, broken="all")
     derived = [bc.subset for bc in derive_broken_circuits(circuits, ground)]
     masks = _broken_masks(ground, _chosen_broken(derived, broken, "a broken circuit of the family"))
     bound = _avoiding_bound(len(ground), masks)
-    if bound > 1 << FULL_SUM_FEASIBLE:
-        raise CapExceeded(f"up to {bound} of the 2^{len(ground)} edge subsets avoid the broken "
-                          f"circuits; the restricted sum needs at most 2^{FULL_SUM_FEASIBLE}")
+    # str() refuses ints past 4,300 digits, so a huge bound is named by its bit length
+    shown = bound if bound.bit_length() <= 64 else f"2^{bound.bit_length() - 1} or more"
+    _within_budget(bound, f"up to {shown} of the 2^{len(ground)} edge subsets avoid the broken "
+                          "circuits")
     return IntPolynomial.from_terms(_component_histogram(n, hypergraph._edge_vidx, masks))
 
 

@@ -18,21 +18,19 @@ up(a) & down(b) = {a, b}; there are no meet or join tables.  A crosscut
 keeps its auxiliary order as a ``FinitePoset`` too, so the closure, the
 linear extension and the comparisons are the poset's own.  The crosscut
 test is one cover-reachability sweep, and both crosscut sums are ``core``
-kernel folds of (AND of up-sets, AND of down-sets).  Lattices, and every
-generator before it builds one, are capped at ``LATTICE_CAP`` elements;
-``CROSSCUT_CAP`` bounds only the routes that list all 2^|C| subsets.
+kernel folds of (AND of up-sets, AND of down-sets).  A lattice's |L|^2 pair
+checks, predicted by every generator before it builds one, and the 2^|C|
+subsets that some crosscut routes list are refused past the work budget.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import CircuitFamily, FinitePoset, OrderedGroundSet, _Record, _bits, _broken_masks
-from .core import _chosen_broken, _image_fold, derive_broken_circuits, iter_avoiding_masks
-from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
-
-CROSSCUT_CAP = 20
-LATTICE_CAP = 1024
+from .core import WORK_BUDGET, CircuitFamily, FinitePoset, OrderedGroundSet, _Record, _bits
+from .core import _broken_masks, _chosen_broken, _image_fold, _within_budget
+from .core import derive_broken_circuits, iter_avoiding_masks
+from .errors import CrossCheckFailed, PreconditionError, SchemaError
 
 
 class FiniteLattice(FinitePoset):
@@ -49,8 +47,7 @@ class FiniteLattice(FinitePoset):
         elements = tuple(elements)
         if not elements:
             raise SchemaError("lattice must be nonempty")
-        if len(elements) > LATTICE_CAP:
-            raise CapExceeded(f"lattice has {len(elements)} elements; the cap is {LATTICE_CAP}")
+        _within_budget(len(elements) ** 2, f"lattice has {len(elements)} elements")
         self._build(elements, covers, close=True)
         bottoms = self.minimal_elements()
         tops = self.maximal_elements()
@@ -285,8 +282,7 @@ def blass_sagan_family(lattice, crosscut, drop_meet_bound=False):
         raise SchemaError("need a Crosscut with its auxiliary order")
     elements = crosscut.elements
     _check_atoms_only(lattice, elements, drop_meet_bound)
-    if len(elements) > CROSSCUT_CAP:
-        raise CapExceeded(f"crosscut has {len(elements)} elements; the cap is {CROSSCUT_CAP}")
+    _within_budget(1 << len(elements), f"crosscut has {len(elements)} elements")
     up, down, index = lattice._up, lattice._down, lattice._idx
     lin = crosscut.linear_extension()
     # each member's possible witnesses: position in the linear extension, lattice bit
@@ -340,7 +336,8 @@ def blass_sagan_mobius(
     broken_sets = [bs.subset for bs in family]
     chosen = _chosen_broken(broken_sets, subfamily, "a prunable crosscut subset")
     lin = crosscut.linear_extension()
-    ground = OrderedGroundSet(tuple(reversed(lin)), cap=CROSSCUT_CAP)
+    _within_budget(1 << len(lin), f"crosscut has {len(lin)} elements")
+    ground = OrderedGroundSet(tuple(reversed(lin)))
     if family:
         circuits = CircuitFamily([bs.circuit for bs in family])
         derived = {bc.subset for bc in derive_broken_circuits(circuits, ground)}
@@ -359,9 +356,7 @@ def all_crosscuts(lattice):
     subsets that include no comparable pair, in the order of
     ``iter_avoiding_masks``) that meet every maximal chain."""
     middle = lattice.middle()
-    if len(middle) > CROSSCUT_CAP:
-        raise CapExceeded("crosscut search needs at most "
-                          f"{CROSSCUT_CAP} middle elements")
+    _within_budget(1 << len(middle), f"lattice has {len(middle)} middle elements")
     ground, comparable = lattice._pair_ground(comparable=True, elements=middle)
     bits = [1 << lattice._idx[e] for e in middle]
     found = []
@@ -376,8 +371,7 @@ def boolean_lattice(n):
     """Subsets of {0..n-1} ordered by inclusion; elements are bitmask ints."""
     if n < 0:
         raise PreconditionError(f"boolean lattice needs n >= 0, got {n}")
-    if n >= LATTICE_CAP.bit_length():
-        raise CapExceeded(f"boolean lattice has 2^{n} elements; the cap is {LATTICE_CAP}")
+    _within_budget(4 ** min(n, WORK_BUDGET.bit_length()), f"boolean lattice has 2^{n} elements")
     elements = list(range(1 << n))
     covers = [
         (m, m | (1 << i)) for m in elements for i in range(n) if not m >> i & 1
@@ -403,8 +397,7 @@ def partition_lattice(n):
     row = [1]
     for _ in range(n):
         row = list(itertools.accumulate(row, initial=row[-1]))
-        if row[0] > LATTICE_CAP:
-            raise CapExceeded(f"partition lattice has Bell({n}) elements; the cap is {LATTICE_CAP}")
+        _within_budget(row[0] ** 2, f"partition lattice has Bell({n}) elements")
 
     def label(blocks):
         return "|".join(

@@ -15,14 +15,13 @@ for the rank sum and 330 for the counts, not one per independent set.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .algebra import IntPolynomial
-from .core import _image_fold
-from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
+from .core import WORK_BUDGET, _image_fold, _within_budget
+from .errors import CrossCheckFailed, PreconditionError, SchemaError
 
 AXIOM_CAP = 12
-# the rank sums and their broken-circuit forms are offered up to this size
-SUM_CAP = 20
 
 
 class Matroid:
@@ -161,18 +160,19 @@ class Matroid:
         """Size of a maximal circuit-free subset, built greedily in ground order."""
         return self._rank_mask(self._mask(frozenset(subset)))
 
-    def is_independent(self, subset):
-        return self._is_independent_mask(self._mask(frozenset(subset)))
-
     @property
     def full_rank(self):
         return self._rank_mask((1 << len(self.elements)) - 1)
 
     @classmethod
     def uniform(cls, r, n):
-        """U_{r,n}: every (r+1)-subset of 0..n-1 is a circuit."""
+        """U_{r,n}: every (r+1)-subset of 0..n-1 is a circuit; refused before
+        any is built when the C(n, r+1) circuits pass the work budget."""
         if not 0 <= r <= n:
             raise SchemaError("uniform matroid needs 0 <= r <= n")
+        # C(n, k) = C(n, n - k) >= 2^k for n >= 2k, so k is cut where 2^k passes the budget
+        k = max(0, min(r + 1, n - r - 1, WORK_BUDGET.bit_length()))
+        _within_budget(comb(n, k), f"U({r},{n}) has C({n},{r + 1}) circuits")
         circuits = list(itertools.combinations(range(n), r + 1)) if r < n else []
         return cls(range(n), circuits)
 
@@ -207,11 +207,10 @@ def _minor_sweep(matroid, broken=(), strict=False):
     The state is one int: a "just taken" flag in bit 0, one bit per class
     above it, and the rank above those.  With ``strict`` a loop raises
     ``CrossCheckFailed``, since every subset left by the broken masks must
-    be independent.  Past ``SUM_CAP`` elements the sweep is refused.
+    be independent.  It refuses 2^|E| past the work budget up front.
     """
     n = len(matroid.elements)
-    if n > SUM_CAP:
-        raise CapExceeded(f"the rank and broken-circuit sums need |E| <= {SUM_CAP}")
+    _within_budget(1 << n, f"the rank and broken-circuit sums over 2^{n} subsets")
     masks = matroid._circuit_masks
     shift = len(masks) + 1
     # per position: the class of the circuits with that maximum, the mask

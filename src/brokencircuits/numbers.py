@@ -18,11 +18,10 @@ import math
 import threading
 from fractions import Fraction
 
-from .core import _image_fold
+from .core import _image_fold, _within_budget
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 FACTOR_CAP = 10**6
-SUBSET_CAP = 22
 CHAIN_CAP = 12
 
 _factor_cache = {}
@@ -429,8 +428,9 @@ def divisor_complex(n, kind="gcd"):
     lcm < n (kind "lcm"), over the divisors strictly between 1 and n."""
     if kind not in ("gcd", "lcm"):
         raise SchemaError(f"unknown complex kind {kind!r}")
-    if len(divisors(n)) > SUBSET_CAP:
-        raise CapExceeded(f"complex construction needs d(n) <= {SUBSET_CAP}")
+    # the faces are subsets of the d(n) - 2 divisors strictly between 1 and n
+    d = len(divisors(n))
+    _within_budget(2 ** (d - 2), f"{n} has {d} divisors")
     if kind == "gcd":
         step, start, is_face = math.gcd, 0, (lambda g: g > 1)
     else:

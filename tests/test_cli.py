@@ -475,13 +475,14 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_matroid_past_the_sum_cap_exits_3(self, tmp_path, capsys):
-        # both matroid sums run in matroids._minor_sweep, which refuses past SUM_CAP
-        path = write(tmp_path, "u221.json", {"kind": "matroid", "uniform": [2, matroids.SUM_CAP + 1]})
+        # both matroid sums run in matroids._minor_sweep, which refuses 2^21 subsets
+        path = write(tmp_path, "u221.json", {"kind": "matroid", "uniform": [2, 21]})
         for argv in (["matroid-characteristic", path], ["matroid-characteristic", path, "--method", "full"],
                      ["matroid-beta", path]):
             code, out, err = run(capsys, "compute", *argv)
             assert (code, out) == (3, None), argv
-            assert err == f"cap exceeded: the rank and broken-circuit sums need |E| <= {matroids.SUM_CAP}\n"
+            assert err == ("cap exceeded: the rank and broken-circuit sums over 2^21 subsets: "
+                           f"past the work budget of {core.WORK_BUDGET} steps\n")
         # an unknown method is a schema error before any sum runs
         code, out, err = run(capsys, "compute", "matroid-characteristic", path, "--method", "bogus")
         assert (code, out) == (2, None)
@@ -504,6 +505,36 @@ class TestExitCodes:
         code, out, err = run(capsys, "generate", "partition-lattice", "--n", "-2")
         assert code == 4 and out is None
         assert "n >= 0, got -2" in err
+
+    @pytest.mark.parametrize("uniform", [[10, 40], [6, 30]])
+    def test_uniform_matroid_document_refused_before_its_circuits(self, tmp_path, uniform):
+        # C(40, 11) and C(30, 7) circuits pass the work budget, so none is built
+        path = write(tmp_path, "u.json", {"kind": "matroid", "uniform": uniform})
+        proc = cli_process("compute", "matroid-characteristic", path)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "circuits: past the work budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["random-graph", "uniform-matroid", "interval-geometry"])
+    def test_generator_refuses_a_huge_n_before_building(self, kind):
+        proc = cli_process("generate", kind, "--n", "1000000")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "past the work budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind, instance", [
+        ("graph-chromatic", K3),
+        ("whitney-sum", {"kind": "whitney", "elements": ["a", "b", "c"],
+                         "circuits": [["a", "b", "c"]], "function": {"kind": "sign"}}),
+    ])
+    def test_non_integer_permute_order_exits_2(self, tmp_path, kind, instance):
+        path = write(tmp_path, "instance.json", instance)
+        for spec in ("a", "0,x,1"):
+            proc = cli_process("compute", kind, path, "--permute-order", spec)
+            assert (proc.returncode, proc.stdout) == (2, ""), spec
+            assert proc.stderr == f"schema error: --permute-order must list integers, got {spec!r}\n"
 
     def test_lattice_document_past_the_cap_exits_3(self, tmp_path):
         chain = list(range(1025))

@@ -51,7 +51,7 @@ class TestChromatic:
 
         monkeypatch.setattr(hypergraphs, "_component_histogram", fold)
         hg = Hypergraph(range(22), [frozenset({i, i + 1}) for i in range(21)])
-        with pytest.raises(CapExceeded, match=r"2\^21 edge subsets needs \|E\| <= 20"):
+        with pytest.raises(CapExceeded, match=r"2\^21 edge subsets: past the work budget"):
             hypergraph_chromatic(hg, "full")
         grid, _ = grid_rectangle_hypergraph(4, 4)
         assert len(grid.edges) == 36
@@ -365,6 +365,11 @@ def test_restricted_route_refuses_a_large_bound_before_folding(monkeypatch):
         # no broken circuit chosen: every one of the 2^21 subsets avoids them
         path = Hypergraph(range(22), [frozenset({i, i + 1}) for i in range(21)])
         with pytest.raises(CapExceeded, match=r"up to 2097152 of the 2\^21"):
+            hypergraph_chromatic(path, "restricted", CircuitFamily([]))
+        # a bound past 64 bits is named by its bit length, since str() refuses
+        # ints past 4,300 digits (2^15000 of a 15,000-edge path)
+        path = Hypergraph(range(71), [frozenset({i, i + 1}) for i in range(70)])
+        with pytest.raises(CapExceeded, match=r"up to 2\^70 or more of the 2\^70 edge subsets"):
             hypergraph_chromatic(path, "restricted", CircuitFamily([]))
     # the 3x4 grid's bound, 2^2 * 3^8 = 26,244, is accepted
     hg, family = grid_rectangle_hypergraph(3, 4)

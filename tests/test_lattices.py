@@ -681,10 +681,9 @@ class TestCrosscutCheckedOnce:
 
 class TestLatticeCap:
     def test_lattice_document_past_the_cap(self):
-        from brokencircuits.lattices import LATTICE_CAP
-
-        chain = list(range(LATTICE_CAP + 1))
-        with pytest.raises(CapExceeded, match=f"lattice has {LATTICE_CAP + 1} elements"):
+        # 1025^2 pair checks pass the budget of 1024^2
+        chain = list(range(1025))
+        with pytest.raises(CapExceeded, match="lattice has 1025 elements: past the work budget"):
             FiniteLattice(chain, zip(chain, chain[1:]))
 
     def test_boolean_lattice_refused_before_it_is_built(self):
@@ -805,7 +804,7 @@ class TestPartitionLatticeCap:
         import time
 
         start = time.perf_counter()
-        with pytest.raises(CapExceeded, match=r"Bell\(8\) elements; the cap is 1024"):
+        with pytest.raises(CapExceeded, match=r"Bell\(8\) elements: past the work budget of 1048576"):
             partition_lattice(8)
         with pytest.raises(CapExceeded, match=r"Bell\(1000000\)"):
             partition_lattice(10 ** 6)
