@@ -42,6 +42,14 @@ def _permutation(spec, size):
     return positions
 
 
+def _spec_integer(spec, option):
+    """The integer after the colon of an option value such as tight:2 or power:3."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise SchemaError(f"{option} {spec!r} needs an integer after the colon") from None
+
+
 def _graph_chromatic(args, doc, graphs):
     g = io.parse_graph(doc)
     if args.permute_order:
@@ -84,7 +92,7 @@ def _hypergraph_chromatic(args, doc, hypergraphs):
                 raise PreconditionError("instance has no embedded circuits")
             circuits = embedded
         elif spec.startswith("tight:"):
-            circuits = hypergraphs.tight_cycles(hg, int(spec.split(":", 1)[1]))
+            circuits = hypergraphs.tight_cycles(hg, _spec_integer(spec, "--circuits"))
         else:
             raise SchemaError(f"unknown circuits source {spec!r}")
     poly = hypergraphs.hypergraph_chromatic(hg, method, circuits)
@@ -201,7 +209,7 @@ def _number_totient(args, doc, numbers):
     if spec == "identity":
         h = numbers.MultiplicativeFunction.identity()
     elif spec.startswith("power:"):
-        h = numbers.MultiplicativeFunction.power(int(spec.split(":", 1)[1]))
+        h = numbers.MultiplicativeFunction.power(_spec_integer(spec, "--h"))
     else:
         raise SchemaError(f"unknown multiplicative function {spec!r}")
     fn = numbers.totient if args.what == "number-totient" else numbers.dirichlet_inverse_totient

@@ -22,14 +22,14 @@ functions over immutable inputs, so concurrent use is safe.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
-DEFAULT_ENUMERATION_CAP = 24
 CANCELLATION_CAP = 18
-# every route refuses up front when the steps it predicts from its inputs pass this
+# every route refuses up front when the steps it predicts pass this, the pruned walk as it goes
 WORK_BUDGET = 1 << 20
 # iter_avoiding_masks expands a free suffix of at most this many elements
 # from a table of 2^SUFFIX_CUBE_BITS masks
@@ -40,6 +40,11 @@ def _within_budget(work, what):
     """Refuse, naming the input size ``what``, ``work`` steps past WORK_BUDGET."""
     if work > WORK_BUDGET:
         raise CapExceeded(f"{what}: past the work budget of {WORK_BUDGET} steps")
+
+
+def _mask_words(n):
+    """Steps one subset of n elements costs a walk: the 64-bit words of its mask."""
+    return (n + 63) // 64 or 1
 
 
 def _bits(mask):
@@ -54,14 +59,10 @@ class OrderedGroundSet:
 
     __slots__ = ("elements", "_pos")
 
-    def __init__(self, elements, cap=DEFAULT_ENUMERATION_CAP):
+    def __init__(self, elements):
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise SchemaError("ground set labels must be pairwise distinct")
-        if len(elements) > cap:
-            raise CapExceeded(
-                f"ground set has {len(elements)} elements, enumeration cap is {cap}"
-            )
         self.elements = elements
         self._pos = {e: i for i, e in enumerate(elements)}
 
@@ -112,9 +113,6 @@ class OrderedGroundSet:
             raise PreconditionError("the empty set has no maximum")
         return self.elements[pos]
 
-    def reversed(self):
-        return OrderedGroundSet(tuple(reversed(self.elements)), cap=max(len(self.elements), 1))
-
     def permuted(self, positions):
         """Reorder by a permutation of positions (new order = elements[p] for p in positions)."""
         if sorted(positions) != list(range(len(self.elements))):
@@ -153,6 +151,7 @@ class TableSetFunction(SetFunction):
 
     def __init__(self, ground, table, zero=0, name="table", default=None):
         n = len(ground)
+        _within_budget(1 << n, f"a table over 2^{n} subsets")
         if isinstance(table, dict):
             dense = [default] * (1 << n)
             for subset, value in table.items():
@@ -327,12 +326,20 @@ def iter_avoiding_masks(ground, broken):
     set has its maximum at or above a position, every subset of the
     remaining elements survives.  That suffix (its last SUFFIX_CUBE_BITS
     positions at most) is expanded from a table built once per call, in
-    the same order.  No list of the surviving subsets is built.
+    the same order.  No list of the surviving subsets is built.  A subset
+    costs ``_mask_words(n)`` steps, and the walk is refused once it is sure
+    to pass WORK_BUDGET: up front by the subsets of the elements in no
+    broken set, which all survive, else at the push that passes it.
     """
     n = len(ground)
-    by_max, cube = _prefixes_by_max(n, _broken_masks(ground, broken))
+    masks = _broken_masks(ground, broken)
+    by_max, cube = _prefixes_by_max(n, masks)
     if by_max is None:
         return
+    what = f"the walk over {n} elements"
+    words = _mask_words(n)
+    free = n - reduce(or_, masks, 0).bit_count()
+    _within_budget(2 ** min(free, WORK_BUDGET.bit_length()) * words, what)
     cube = max(cube, n - SUFFIX_CUBE_BITS)
     # every subset of positions cube..n-1, in walk order
     suffix = [0]
@@ -342,6 +349,10 @@ def iter_avoiding_masks(ground, broken):
     stack = [(0, 0)]
     pop = stack.pop
     push = stack.append
+    # each pushed entry yields one block when popped, so the stack holds at
+    # most the blocks the budget allows (one at least: the suffix is free)
+    blocks = WORK_BUDGET // (len(suffix) * words)
+    room = blocks - 1
     while stack:
         pos, acc = pop()
         while pos < cube:
@@ -349,6 +360,9 @@ def iter_avoiding_masks(ground, broken):
                 if acc & prefix == prefix:
                     break
             else:
+                if not room:
+                    _within_budget((blocks + 1) * len(suffix) * words, what)
+                room -= 1
                 push((pos + 1, acc | (1 << pos)))
             pos += 1
         for s in suffix:
@@ -534,6 +548,7 @@ def _group_sum(values, zero):
 
 def sum_full(f, ground):
     """Exact sum of f over all 2^n subsets (the unrestricted side)."""
+    _within_budget(1 << len(ground), f"the full sum over 2^{len(ground)} subsets")
     return _group_sum(map(f.mask_function(ground), range(1 << len(ground))), f.zero)
 
 
@@ -560,15 +575,15 @@ class CancellationReport(_Record):
         return self.ok
 
 
-def verify_cancellation(f, family, ground, cap=CANCELLATION_CAP):
+def verify_cancellation(f, family, ground):
     """Check f(A) + f(A \\ {max C}) = 0 for every circuit C and every A containing C.
 
     Exhaustive, hence capped: the condition is universally quantified over
     supersets and cannot be sampled soundly.
     """
     n = len(ground)
-    if n > cap:
-        raise CapExceeded(f"cancellation check needs |S| <= {cap}, got {n}")
+    if n > CANCELLATION_CAP:
+        raise CapExceeded(f"cancellation check needs |S| <= {CANCELLATION_CAP}, got {n}")
     fm = f.mask_function(ground)
     zero = f.zero
     full = (1 << n) - 1
@@ -727,16 +742,16 @@ class FinitePoset:
 
     def _pair_ground(self, comparable=False, elements=None):
         """``(ground, pairs)`` for a sum pruned by pairs: ``elements``, by
-        default the linear extension, as a ground set with no element cap,
-        and the pairs of them, in ground order, that are incomparable, so
-        that the avoiding subsets are the chains, or with ``comparable`` the
-        comparable pairs, so that they are the antichains.  A chain walk
+        default the linear extension, as a ground set, and the pairs of
+        them, in ground order, that are incomparable, so that the avoiding
+        subsets are the chains, or with ``comparable`` the comparable pairs,
+        so that they are the antichains.  A chain walk
         yields every chain, so it is refused before it starts when the chains
         pass the work budget."""
+        elements = self.linear_extension() if elements is None else tuple(elements)
         if not comparable:
             chains = self._chain_count()
-            _within_budget(chains, f"the poset has {chains} chains")
-        elements = self.linear_extension() if elements is None else tuple(elements)
+            _within_budget(chains * _mask_words(len(elements)), f"the poset has {chains} chains")
         index = [self._index(e) for e in elements]
         rows = [self._up[i] | self._down[i] for i in index]
         pairs = [
@@ -745,7 +760,7 @@ class FinitePoset:
             for b in range(a + 1, len(index))
             if bool(rows[a] >> index[b] & 1) == comparable
         ]
-        return OrderedGroundSet(elements, cap=len(elements)), pairs
+        return OrderedGroundSet(elements), pairs
 
     def chain_subsets(self):
         """All chains (pairwise comparable subsets) as frozensets, empty set
@@ -770,7 +785,6 @@ def sum_over_maxima(f, poset, check=True):
     when the poset is small enough; a violation raises, since the reduction
     would be meaningless.
     """
-    # every element may be maximal, so the sum keeps the element cap
     ground = OrderedGroundSet(poset.linear_extension())
     maximal = set(poset.maximal_elements())
     restricted = sum_pruned(f, ground, [{a} for a in ground if a not in maximal])
@@ -947,6 +961,7 @@ def random_cancelling_instance(rng, size, value_kind="int", max_circuits=4):
     n = size
     if n < 2:
         raise PreconditionError("instance needs at least two elements")
+    _within_budget(2 ** min(n, WORK_BUDGET.bit_length()), f"a table over 2^{n} subsets")
     ground = OrderedGroundSet(range(n))
     rules = []
     circuits = []

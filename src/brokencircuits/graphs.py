@@ -225,7 +225,7 @@ def cycles_vertex_sets(graph):
 
 
 def edge_ground(graph):
-    return OrderedGroundSet(range(len(graph.edges)), cap=max(24, len(graph.edges)))
+    return OrderedGroundSet(range(len(graph.edges)))
 
 
 def edge_broken_circuits(graph):

@@ -15,6 +15,7 @@ import itertools
 
 from .algebra import IntPolynomial
 from .core import (
+    WORK_BUDGET,
     CircuitFamily,
     OrderedGroundSet,
     _avoiding_bound,
@@ -45,7 +46,7 @@ class Hypergraph:
             es = frozenset(e)
             if len(es) < 2:
                 raise SchemaError(f"edge {sorted(map(repr, es))} has fewer than 2 vertices")
-            if not es <= set(vertices):
+            if not es <= self._vi.keys():
                 raise SchemaError(f"edge {sorted(map(repr, es))} uses an unknown vertex")
             if es in seen:
                 raise SchemaError(f"duplicate edge {sorted(map(repr, es))}")
@@ -70,7 +71,7 @@ class Hypergraph:
 
 
 def edge_ground(hypergraph):
-    return OrderedGroundSet(range(len(hypergraph.edges)), cap=max(24, len(hypergraph.edges)))
+    return OrderedGroundSet(range(len(hypergraph.edges)))
 
 
 def is_berge_cycle_edge_set(hypergraph, edge_ids):
@@ -181,12 +182,21 @@ def tight_cycles(hypergraph, l):
         raise PreconditionError(f"need l < r, got l={l}, r={r}")
     step = r - l
     n = len(hypergraph.vertices)
+    lengths = [k * step for k in range(2, n // step + 1) if k * step >= r]
+    # P(n, m) vertex sequences per length m, multiplied out only until the total passes the budget
+    work = 0
+    for m in lengths:
+        seqs = 1
+        for t in range(m):
+            seqs *= n - t
+            if work + seqs > WORK_BUDGET:
+                break
+        work += seqs
+    _within_budget(work, f"the tight-cycle search over {n} vertices")
     edge_index = {e: i for i, e in enumerate(hypergraph.edges)}
     found = set()
-    for k in range(2, n // step + 1):
-        m = k * step
-        if m < r or m > n:
-            continue
+    for m in lengths:
+        k = m // step
         for seq in itertools.permutations(range(n), m):
             if seq[0] != min(seq):
                 continue

@@ -44,7 +44,7 @@ class Matroid:
             cs = frozenset(c)
             if not cs:
                 raise SchemaError("circuits must be nonempty")
-            if not cs <= set(elements):
+            if not cs <= self._pos.keys():
                 raise SchemaError(f"circuit {sorted(map(repr, cs))} leaves the ground set")
             if cs not in seen:
                 seen.add(cs)

@@ -4,11 +4,13 @@ Each site predicts its steps from its inputs and asks ``core._within_budget``.
 For every site the last accepted size gets past the check and the first
 refused size raises ``CapExceeded`` naming the budget.  Where the accepted
 size would run long, the work after the check is patched to raise
-``Reached``, which shows the check was passed.
+``Reached``, which shows the check was passed, or the budget is patched
+down.
 """
 
 import argparse
 import random
+import time
 import types
 
 import pytest
@@ -45,6 +47,26 @@ def _atoms_lattice(k):
 def _atoms_crosscut(k):
     lattice = _atoms_lattice(k)
     return lattice, Crosscut(lattice, lattice.middle())
+
+
+def _free_walk(n):
+    """The pruned walk over n elements with the broken set {0}: 2^(n-1) subsets, all of
+    elements 1..n-1, which are in no broken set."""
+    return core.enumerate_avoiding(OrderedGroundSet(range(n)), [{0}])
+
+
+def _walk(b, pairs, pad=0):
+    """The pruned walk over b + 1 + pad elements, none free, with the broken sets {0..b-1},
+    {j, b} for j < pairs (at least 1) and each padding element: 2^b - 1 subsets without b
+    and 2^(b - pairs) with it."""
+    broken = [set(range(b))] + [{j, b} for j in range(pairs)]
+    broken += [{i} for i in range(b + 1, b + 1 + pad)]
+    return core.enumerate_avoiding(OrderedGroundSet(range(b + 1 + pad)), broken)
+
+
+def _triangle(n):
+    """One 3-edge on n vertices: the tight 2-cycle search visits P(n, m) sequences, 3 <= m <= n."""
+    return Hypergraph(range(n), [{0, 1, 2}])
 
 
 def _chain(n, extra=0):
@@ -165,6 +187,45 @@ SITES = {
         lambda: Matroid.uniform(0, core.WORK_BUDGET),
         lambda: Matroid.uniform(0, core.WORK_BUDGET + 1),
     ),
+    # the walk counts the subsets it yields; a budget of 2^10 keeps the walk short
+    "pruned walk, subsets of the free elements": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1 << 10),
+        lambda: _free_walk(11),
+        lambda: _free_walk(12),
+    ),
+    # 1,024 and 1,025 subsets
+    "pruned walk, yielded subsets": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1 << 10),
+        lambda: _walk(10, 10),
+        lambda: _walk(10, 9),
+    ),
+    # 512 and 513 subsets of 74 elements, whose masks take two words: two steps each
+    "pruned walk, mask words": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1 << 10),
+        lambda: _walk(9, 9, pad=64),
+        lambda: _walk(9, 8, pad=64),
+    ),
+    "sum_full, 2^n": (
+        lambda mp: mp.setattr(core, "_group_sum", _reached),
+        lambda: core.sum_full(core.sign_function(), OrderedGroundSet(range(20))),
+        lambda: core.sum_full(core.sign_function(), OrderedGroundSet(range(21))),
+    ),
+    "table set function, 2^n": (
+        lambda mp: None,
+        lambda: core.TableSetFunction(OrderedGroundSet(range(20)), {}, default=0),
+        lambda: core.TableSetFunction(OrderedGroundSet(range(21)), {}, default=0),
+    ),
+    "random cancelling instance, 2^n": (
+        lambda mp: mp.setattr(core, "OrderedGroundSet", _reached),
+        lambda: core.random_cancelling_instance(random.Random(0), 20),
+        lambda: core.random_cancelling_instance(random.Random(0), 21),
+    ),
+    # 986,328 sequences on 9 vertices, 9,864,000 on 10
+    "tight cycles, vertex sequences": (
+        lambda mp: mp.setattr(hypergraphs, "itertools", types.SimpleNamespace(permutations=_reached)),
+        lambda: hypergraphs.tight_cycles(_triangle(9), 2),
+        lambda: hypergraphs.tight_cycles(_triangle(10), 2),
+    ),
     "random graph, C(n, 2)": (
         lambda mp: None,
         # C(1448, 2) = 1,047,628 draws; the first draw shows the check passed
@@ -189,7 +250,7 @@ def test_last_accepted_size_passes_and_first_refused_size_names_the_budget(monke
         accepted()
     except Reached:
         pass
-    with pytest.raises(CapExceeded, match=BUDGET):
+    with pytest.raises(CapExceeded, match=f"past the work budget of {core.WORK_BUDGET} steps"):
         refused()
 
 
@@ -215,6 +276,27 @@ def test_unbounded_generator_parameters_are_refused_at_once():
                  lambda: lattices.boolean_lattice(10 ** 12),
                  lambda: Matroid.uniform(2, 10 ** 12),
                  lambda: Matroid.uniform(2 ** 19, 2 ** 20),
-                 lambda: graphs.random_graph(None, 10 ** 12, 0.5)):
+                 lambda: graphs.random_graph(None, 10 ** 12, 0.5),
+                 lambda: core.random_cancelling_instance(None, 10 ** 12)):
         with pytest.raises(CapExceeded, match=BUDGET):
             call()
+
+
+def test_walk_past_the_budget_by_its_free_elements_yields_nothing():
+    # 22 of the 24 elements are in no broken set: 2^22 subsets survive
+    walk = core.iter_avoiding_masks(OrderedGroundSet(range(24)), [{0, 1}])
+    with pytest.raises(CapExceeded, match="the walk over 24 elements: " + BUDGET):
+        next(walk)
+
+
+def test_sum_over_maxima_on_b5_sums_two_subsets():
+    # 32 elements but one maximal one: the walk yields the empty set and the top
+    reduction = core.sum_over_maxima(core.sign_function(), lattices.boolean_lattice(5))
+    assert (reduction.restricted, reduction.full, reduction.cancellation) == (0, None, None)
+
+
+def test_constructors_check_membership_in_linear_time():
+    start = time.perf_counter()
+    assert len(_path_hypergraph(15_000).edges) == 15_000
+    assert len(Matroid.uniform(0, 20_000).circuits) == 20_000
+    assert time.perf_counter() - start < 1

@@ -33,6 +33,14 @@ def cli_process(*argv, script=None):
     )
 
 
+# cli.main in a process limited to 2 GB of address space
+LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+from brokencircuits import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 K3 = {"kind": "graph", "vertices": [0, 1, 2], "edges": [[0, 1], [0, 2], [1, 2]]}
 
 
@@ -535,6 +543,46 @@ class TestExitCodes:
             proc = cli_process("compute", kind, path, "--permute-order", spec)
             assert (proc.returncode, proc.stdout) == (2, ""), spec
             assert proc.stderr == f"schema error: --permute-order must list integers, got {spec!r}\n"
+
+    @pytest.mark.parametrize("kind, option, spec", [
+        ("hypergraph-chromatic", "--circuits", "tight:x"),
+        ("number-totient", "--h", "power:x"),
+        ("number-dirichlet-inverse", "--h", "power:x"),
+    ])
+    def test_non_integer_spec_exits_2(self, tmp_path, kind, option, spec):
+        if kind == "hypergraph-chromatic":
+            doc = {"kind": "hypergraph", "vertices": [0, 1, 2, 3], "edges": [[0, 1, 2]]}
+            argv = [write(tmp_path, "hg.json", doc), "--method", "restricted"]
+        else:
+            argv = ["--n", "12"]
+        proc = cli_process("compute", kind, *argv, option, spec)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"schema error: {option} {spec!r} needs an integer after the colon\n"
+
+    def test_tight_cycle_search_is_refused_by_its_sequences(self, tmp_path):
+        # 11 vertices: P(11, m) sequences for each 3 <= m <= 11, more than 39 million
+        doc = {"kind": "hypergraph", "vertices": list(range(11)), "edges": [[0, 1, 2]]}
+        start = time.perf_counter()
+        proc = cli_process("compute", "hypergraph-chromatic", write(tmp_path, "hg.json", doc),
+                           "--method", "restricted", "--circuits", "tight:2")
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("cap exceeded: the tight-cycle search over 11 vertices: "
+                               f"past the work budget of {core.WORK_BUDGET} steps\n")
+
+    @pytest.mark.parametrize("circuit", ["a pair", "every label"])
+    def test_large_whitney_document_is_refused_in_its_first_descent(self, tmp_path, circuit):
+        # 2 x 10^5 labels: a walk that kept an n-bit mask per pending branch, or walked
+        # the budget's count of n-bit masks, ran out of 2 GB or ran for minutes
+        labels = [f"e{i}" for i in range(200_000)]
+        doc = {"kind": "whitney", "elements": labels, "function": {"kind": "sign"},
+               "circuits": [labels[:2] if circuit == "a pair" else labels]}
+        start = time.perf_counter()
+        proc = cli_process("compute", "whitney-sum", write(tmp_path, "big.json", doc), script=LIMITED)
+        assert time.perf_counter() - start < 8
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("cap exceeded: the walk over 200000 elements: "
+                               f"past the work budget of {core.WORK_BUDGET} steps\n")
 
     def test_lattice_document_past_the_cap_exits_3(self, tmp_path):
         chain = list(range(1025))

@@ -73,8 +73,13 @@ class TestGroundSet:
             OrderedGroundSet([1, 1, 2])
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            OrderedGroundSet(range(30))
+        # a ground set of any size builds; its sums refuse by their work
+        g = OrderedGroundSet(range(30))
+        budget = f"past the work budget of {core.WORK_BUDGET} steps"
+        with pytest.raises(CapExceeded, match=budget):
+            sum_full(sign_function(), g)
+        with pytest.raises(CapExceeded, match=budget):
+            enumerate_avoiding(g, [])
 
     def test_max_of_uses_input_order(self):
         g = OrderedGroundSet(["c", "a", "b"])
@@ -138,7 +143,7 @@ class TestVerifyCancellation:
     def test_cap(self):
         g = OrderedGroundSet(range(20))
         with pytest.raises(CapExceeded):
-            verify_cancellation(sign_function(), CircuitFamily([{0}]), g, cap=18)
+            verify_cancellation(sign_function(), CircuitFamily([{0}]), g)
 
 
 class TestSums:
@@ -977,7 +982,7 @@ class TestSumOverChains:
             assert p._chain_count() == len(list(p.chain_subsets())), p.elements
         assert (posets[2]._chain_count(), posets[3]._chain_count()) == (2164, 128)
         b8 = boolean_lattice(8)
-        family = IndexedSetFamily(OrderedGroundSet(b8.elements, cap=len(b8)), {e: () for e in b8.elements})
+        family = IndexedSetFamily(OrderedGroundSet(b8.elements), {e: () for e in b8.elements})
         start = time.perf_counter()
         for walk in (lambda: sum_over_chains(sign_function(), b8, check=False),
                      lambda: next(b8.chain_subsets()), lambda: narushima_union(b8, family)):
