@@ -386,7 +386,8 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     ``settle(i, state)``, when given, maps every state after position i,
     both the subsets that take i and those that do not.  It forgets what no
     later position can read, so states that differ only there become one;
-    ``key`` must not depend on what it forgets.
+    ``key`` must not depend on what it forgets.  A state that ``include``
+    or ``settle`` maps to None is dropped, with every subset it stands for.
 
     The states are grouped by a flag word, one bit per distinct (prefix,
     maximum) pair of the minimal ``broken`` masks, set while every prefix
@@ -426,14 +427,16 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
                 get = taken.get
                 for state, count in states.items():
                     image = include(i, state)
-                    taken[image] = get(image, 0) - count
+                    if image is not None:
+                        taken[image] = get(image, 0) - count
         level = {}
         for flags, states in nxt.items():
             if settle is not None:
                 states, unsettled = {}, states
                 for state, count in unsettled.items():
                     state = settle(i, state)
-                    states[state] = states.get(state, 0) + count
+                    if state is not None:
+                        states[state] = states.get(state, 0) + count
             states = {state: count for state, count in states.items() if count}
             if states:
                 level[flags] = states

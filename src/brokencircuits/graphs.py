@@ -359,15 +359,14 @@ def domination_polynomial(graph, method="direct", broken=None):
     n = len(graph.vertices)
     _within_budget(1 << n, f"the domination sum over 2^{n} vertex subsets")
     nbs = [graph._nmask[1 << i] for i in range(n)]
+    # v settles after max N[v]: no later vertex is v or one of its neighbours
+    settled = graph._settled_masks()
     if method == "direct":
-        # the state is N[A] with |A| counted in the bits above the n vertex bits
-        full = (1 << n) - 1
-        step = 1 << n
-        hist = _image_fold(
-            n, 0, lambda i, s: (s | nbs[i]) + step,
-            lambda s: s >> n if s & full == full else -1,
-        )
-        return IntPolynomial.from_terms({k: abs(count) for k, count in hist.items() if k >= 0})
+        # the state is N[A] on the unsettled vertices, with |A| in the bits
+        # above them; it dies when a vertex settles undominated
+        hist = _image_fold(n, 0, lambda i, s: (s | nbs[i]) + (1 << n), lambda s: s >> n,
+                           lambda i, s: None if ~s & settled[i] else s ^ settled[i])
+        return IntPolynomial.from_terms({k: abs(count) for k, count in hist.items()})
     if method not in ("alternating", "pruned"):
         raise SchemaError(f"unknown method {method!r}")
     masks = ()
@@ -381,8 +380,7 @@ def domination_polynomial(graph, method="direct", broken=None):
                                 "a broken neighbourhood of the graph")
         masks = _broken_masks(OrderedGroundSet(graph.vertices), chosen)
     # the state is N[A] on the unsettled vertices, with the count of the
-    # settled dominated ones in the bits above; v settles after max N[v]
-    settled = graph._settled_masks()
+    # settled dominated ones in the bits above
 
     def settle(i, s):
         done = s & settled[i]

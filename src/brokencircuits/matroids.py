@@ -9,7 +9,7 @@ counts b_k assemble the characteristic polynomial and the beta invariant
 directly.  Both sums sweep the ground positions in order over contracted
 minors (``_minor_sweep``): prefixes whose minors agree on the undecided
 positions share one state, so Petersen's cycle matroid takes 660 steps
-for the rank sum and 330 for the counts, not one per independent set.
+for either sum, not one per independent set.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb
 
 from .algebra import IntPolynomial
 from .core import WORK_BUDGET, _image_fold, _within_budget
-from .errors import CrossCheckFailed, PreconditionError, SchemaError
+from .errors import PreconditionError, SchemaError
 
 AXIOM_CAP = 12
 
@@ -187,9 +187,9 @@ class Matroid:
         return cls(labels, circuits)
 
 
-def _minor_sweep(matroid, broken=(), strict=False):
+def _minor_sweep(matroid, nbc=False):
     """Nonzero {r(A): sum of (-1)^|A|} over the subsets A of the ground
-    positions that include none of the ``broken`` masks.
+    positions, or with ``nbc`` over those that include no broken circuit.
 
     The positions are decided in order, and a prefix A is kept only as its
     contracted minor M/A restricted to the undecided positions: the rank
@@ -205,9 +205,11 @@ def _minor_sweep(matroid, broken=(), strict=False):
     Tani, ISAAC 1995, for any circuit list).
 
     The state is one int: a "just taken" flag in bit 0, one bit per class
-    above it, and the rank above those.  With ``strict`` a loop raises
-    ``CrossCheckFailed``, since every subset left by the broken masks must
-    be independent.  It refuses 2^|E| past the work budget up front.
+    above it, and the rank above those.  With ``nbc`` every surviving
+    prefix is independent, so it is its own greedy basis, and the class of
+    maximum i is alive exactly when the prefix holds a broken circuit
+    C - i: the state then dies on both branches.  A loop's class is alive
+    from the start.  It refuses 2^|E| past the work budget up front.
     """
     n = len(matroid.elements)
     _within_budget(1 << n, f"the rank and broken-circuit sums over 2^{n} subsets")
@@ -244,15 +246,15 @@ def _minor_sweep(matroid, broken=(), strict=False):
 
     def include(i, state):
         if state & loop_class[i]:
-            if strict:
-                raise CrossCheckFailed("broken-circuit-free subset is dependent")
             # A + i has the rank and the minor of A, so the two cancel
-            return state
+            return None if nbc else state
         return state + lift
 
     def settle(i, state):
         if state & 1:
             state ^= 1
+        elif nbc and state & loop_class[i]:
+            return None
         else:
             state &= keep[i]
         for members, others, name in merges[i]:
@@ -261,22 +263,19 @@ def _minor_sweep(matroid, broken=(), strict=False):
         return state
 
     start = (1 << shift) - 2
-    return _image_fold(n, start, include, lambda state: state >> shift, settle, broken)
+    return _image_fold(n, start, include, lambda state: state >> shift, settle)
 
 
 def broken_circuit_counts(matroid):
     """b_k: number of k-subsets including no broken circuit of the matroid.
 
-    The broken circuits are the circuit masks with their top bit cleared,
-    and the count of k-subsets is the signed count at rank k, since every
-    counted subset is checked to be independent along the way: the sweep
-    over contracted minors raises when a counted subset takes a loop of
-    the minor of its prefix.
+    The sweep over contracted minors drops a prefix once it holds a broken
+    circuit C - max C, so every counted subset is independent and the
+    count of k-subsets is the signed count at rank k.
     """
-    broken = [cm ^ 1 << (cm.bit_length() - 1) for cm in matroid._circuit_masks]
     counts = [0] * (len(matroid.elements) + 1)
-    for k, count in _minor_sweep(matroid, broken, strict=True).items():
-        # a strict sweep takes no loop, so rank k means k elements: the count is |signed count|
+    for k, count in _minor_sweep(matroid, nbc=True).items():
+        # rank k means k elements: the count is |signed count|
         counts[k] = abs(count)
     return tuple(counts)
 

@@ -5,10 +5,10 @@ inverses all arise as alternating gcd- or lcm-weighted sums over the
 subsets of one divisor domain: the divisors strictly between 1 and n, or
 the modified domain, every divisor but n (gcd) or but 1 (lcm), which a
 prime n needs.  Each sum is one op fold over the distinct gcd or lcm
-states; the chain reductions are the same fold pruned by the pairs that
-do not divide each other, and the prime-support reductions the same fold
-over the primes or their complements.  Exact values use Fractions; only
-the zeta reciprocal uses floats.
+states; the chain reductions are the same fold, which drops a chain at a
+divisor that its last one does not divide, and the prime-support
+reductions the same fold over the primes or their complements.  Exact
+values use Fractions; only the zeta reciprocal uses floats.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import itertools
 import math
 import threading
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import _image_fold, _within_budget
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 FACTOR_CAP = 10**6
-CHAIN_CAP = 12
 
 _factor_cache = {}
 _factor_lock = threading.Lock()
@@ -84,6 +84,7 @@ def classical_mobius(n):
 def primes_upto(limit):
     if limit < 2:
         return []
+    _within_budget(limit, f"the sieve up to {limit}")
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, int(limit**0.5) + 1):
@@ -135,10 +136,9 @@ def _divisor_domain(n, op, modified_domain=False):
     return [d for d in divs if d not in (1, n)]
 
 
-def _op_fold(domain, start, op, broken=()):
-    """{the op-fold of A from start: sum of (-1)^|A|} over the subsets A of
-    the domain that include none of the ``broken`` position masks."""
-    return _image_fold(len(domain), start, lambda i, s: op(s, domain[i]), lambda s: s, None, broken)
+def _op_fold(domain, start, op):
+    """{the op-fold of A from start: sum of (-1)^|A|} over the subsets A of the domain."""
+    return _image_fold(len(domain), start, lambda i, s: op(s, domain[i]), lambda s: s)
 
 
 def _signed_gcd_sum(domain):
@@ -476,11 +476,15 @@ def bonferroni_all(complex_):
 def _chain_sums(divs, start, op):
     """{op-fold of A from start: sum of (-1)^{|A|-1}} over the nonempty
     divisibility chains A of the increasing divs, one entry for every
-    element of divs.  One sweep of the op states, with the pairs that do
-    not divide each other as broken masks; start, the state of the empty
-    chain, is not in divs."""
-    apart = [1 << i | 1 << j for j in range(len(divs)) for i in range(j) if divs[j] % divs[i]]
-    hist = _op_fold(divs, start, op, apart)
+    element of divs.  One sweep of the states (op-fold, last chosen
+    divisor), which drops a state at a divisor that is not a multiple of
+    its last one; start, the op-fold of the empty chain, is not in divs."""
+
+    def include(i, state):
+        fold, last = state
+        return None if divs[i] % last else (op(fold, divs[i]), divs[i])
+
+    hist = _image_fold(len(divs), (start, 1), include, itemgetter(0))
     return {d: -hist.get(d, 0) for d in divs}
 
 
@@ -490,10 +494,7 @@ def chain_gcd_inner_sums(n):
 
     Each value equals -mu(n/d).
     """
-    divs = _divisor_domain(n, math.gcd, modified_domain=True)
-    if len(divs) > CHAIN_CAP:
-        raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
-    return _chain_sums(divs, 0, math.gcd)
+    return _chain_sums(_divisor_domain(n, math.gcd, modified_domain=True), 0, math.gcd)
 
 
 def chain_lcm_inner_sums(n):
@@ -503,6 +504,4 @@ def chain_lcm_inner_sums(n):
     Each value equals mu(d).
     """
     divs = _divisor_domain(n, math.lcm, modified_domain=True)
-    if len(divs) > CHAIN_CAP:
-        raise CapExceeded(f"chain enumeration needs at most {CHAIN_CAP} divisors")
     return {d: -count for d, count in _chain_sums(divs, 1, math.lcm).items()}

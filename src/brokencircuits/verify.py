@@ -530,7 +530,7 @@ def check_complexes(rng):
 
 
 def check_chain_sums(rng):
-    for n in (12, 30, 36, 60):
+    for n in (12, 30, 36, 60, 180, 5040, 720720):
         for d, s in numbers.chain_gcd_inner_sums(n).items():
             if s != -numbers.classical_mobius(n // d):
                 return f"gcd chain inner sum wrong at n={n}, d={d}"

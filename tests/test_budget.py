@@ -182,6 +182,12 @@ SITES = {
         lambda: numbers.divisor_complex(3072),
         lambda: numbers.divisor_complex(360),
     ),
+    # the check comes before the sieve allocates its limit + 1 bytes
+    "prime sieve, limit": (
+        lambda mp: mp.setattr(numbers, "bytearray", _reached, raising=False),
+        lambda: numbers.primes_upto(core.WORK_BUDGET),
+        lambda: numbers.primes_upto(core.WORK_BUDGET + 1),
+    ),
     "uniform matroid, C(n, r+1)": (
         lambda mp: mp.setattr(matroids, "itertools", types.SimpleNamespace(combinations=_reached)),
         lambda: Matroid.uniform(0, core.WORK_BUDGET),

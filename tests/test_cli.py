@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -70,13 +71,14 @@ class TestCompute:
         assert len(walks) == 1
 
     def test_matroid_characteristic_walks_once(self, tmp_path, capsys, monkeypatch):
-        # the broken-circuit counts sweep through the pruned kernel once
+        # the broken-circuit counts sweep the kernel once, and read their
+        # broken circuits from the swept minors, not from masks
         walks = []
         fold = matroids._image_fold
 
-        def counted(*args):
-            walks.append(args)
-            return fold(*args)
+        def counted(*args, **kwargs):
+            walks.append(inspect.signature(fold).bind(*args, **kwargs).arguments)
+            return fold(*args, **kwargs)
 
         monkeypatch.setattr(matroids, "_image_fold", counted)
         path = write(tmp_path, "u24.json", {"kind": "matroid", "uniform": [2, 4]})
@@ -86,7 +88,7 @@ class TestCompute:
             '"polynomial":{"coeffs":["3","-4","1"],"var":"x"},"validated":true}\n'
         )
         assert len(walks) == 1
-        assert walks[0][5]  # U(2,4) has broken circuits to prune by
+        assert "broken" not in walks[0]
 
     def test_graph_chromatic_full_matches(self, tmp_path, capsys):
         path = write(tmp_path, "k3.json", K3)
@@ -582,6 +584,14 @@ class TestExitCodes:
         assert time.perf_counter() - start < 8
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == ("cap exceeded: the walk over 200000 elements: "
+                               f"past the work budget of {core.WORK_BUDGET} steps\n")
+
+    def test_prime_bound_past_the_budget_is_refused_before_the_sieve(self):
+        # a sieve up to 10^10 would allocate 10 GB, past the 2 GB limit
+        proc = cli_process("compute", "number-zeta", "--s", "2", "--prime-bound", "10000000000",
+                           script=LIMITED)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("cap exceeded: the sieve up to 10000000000: "
                                f"past the work budget of {core.WORK_BUDGET} steps\n")
 
     def test_lattice_document_past_the_cap_exits_3(self, tmp_path):

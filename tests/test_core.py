@@ -754,6 +754,46 @@ def test_image_fold_prunes_by_the_minimal_masks_alone(data):
         assert pruned == _brute_fold(n, state_of_mask, minimal)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_image_fold_drops_the_states_a_hook_maps_to_none(data):
+    # include and settle hooks that return None on drawn (position, state)
+    # pairs, with and without broken masks, against the same hooks applied
+    # per subset, position by position, dropping the subset once one of
+    # them returns None
+    from brokencircuits.core import _image_fold
+
+    n = data.draw(st.integers(0, 8), label="n")
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, 7))
+    dead_include = data.draw(st.sets(pair, max_size=10), label="dead_include")
+    dead_settle = data.draw(st.sets(pair, max_size=10), label="dead_settle")
+    kept = data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n), label="kept")
+    broken = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3), label="broken")
+
+    def include(i, s):
+        return None if (i, s) in dead_include else (3 * s + i + 1) % 8
+
+    def settle(i, s):
+        return None if (i, s) in dead_settle else s & kept[i] | s >> 2
+
+    key = lambda s: s & 3
+    for hook in (None, settle):
+        hist = {}
+        for mask in range(1 << n):
+            if any(mask & b == b for b in broken):
+                continue
+            s = 0
+            for i in range(n):
+                if s is not None and mask >> i & 1:
+                    s = include(i, s)
+                if s is not None and hook is not None:
+                    s = hook(i, s)
+            if s is not None:
+                hist[key(s)] = hist.get(key(s), 0) + (-1 if mask.bit_count() & 1 else 1)
+        expected = {k: count for k, count in hist.items() if count}
+        assert _image_fold(n, 0, include, key, hook, broken) == expected, hook
+
+
 def _whitney_route(bad):
     doc = {"kind": "whitney", "elements": ["a", "b", "c"], "circuits": [["a", "b", "c"]],
            "broken": [sorted(bad)], "function": {"kind": "sign"}}

@@ -491,6 +491,10 @@ class TestSettledSweeps:
         calls = self.include_calls(monkeypatch, graphs, lambda: q_at_minus_one(c16, "direct"))
         assert calls <= 400 < (1 << 16) - 1
         assert q_at_minus_one(c16, "direct") == q_at_minus_one(c16, "restricted")
+        # direct domination settles N[A] and drops a state once a vertex settles
+        # undominated; keyed by the whole N[A] it made 12,282 calls
+        calls = self.include_calls(monkeypatch, graphs, lambda: domination_polynomial(c16, "direct"))
+        assert calls == 536
 
     def test_pruned_include_counts(self, monkeypatch):
         # deterministic work pins: the subset walk made one call per nonempty

@@ -171,25 +171,32 @@ class TestRankInvariance:
                     sub = (sub - 1) & free
 
     def test_avoiding_subsets_are_independent(self):
-        # asserted internally during the count
+        # an independent set has at most r(E) elements, so no count lies past the rank
         for m in (Matroid.uniform(2, 6), Matroid.graphic(Graph.complete(4))):
             counts = broken_circuit_counts(m)
             assert all(b == 0 for b in counts[m.full_rank + 1 :])
 
-    def test_dependent_leaf_is_caught(self, monkeypatch):
-        # a walk that drops the broken family reaches the circuits, which
-        # must trip the independence check
-        import brokencircuits.matroids as mod
-
-        m = Matroid.graphic(Graph.complete(4))
-        fold = mod._image_fold
-
-        def unpruned_fold(n, start, include, key, settle=None, broken=()):
-            return fold(n, start, include, key, settle)
-
-        monkeypatch.setattr(mod, "_image_fold", unpruned_fold)
-        with pytest.raises(RuntimeError, match="dependent"):
-            broken_circuit_counts(m)
+    def test_loops_and_parallel_pairs_match_the_broken_circuit_filter(self):
+        # the counts read their broken circuits from the swept minor; a loop
+        # breaks to the empty set, so it leaves no subset wherever it stands,
+        # and a parallel pair {e, copy} breaks to its earlier element
+        base = Matroid.graphic(Graph.complete(4))
+        edges = list(base.elements)
+        e = edges[2]
+        circuits = [set(c) for c in base.circuits]
+        parallel = circuits + [(c - {e}) | {"copy"} for c in circuits if e in c] + [{e, "copy"}]
+        for at in (0, 3, len(edges)):
+            with_loop = edges[:at] + ["loop"] + edges[at:]
+            m = Matroid(with_loop, circuits + [{"loop"}])
+            _assert_sweeps_match_per_mask_folds(m)
+            assert broken_circuit_counts(m) == (0,) * (len(with_loop) + 1)
+            m = Matroid(edges[:at] + ["copy"] + edges[at:], parallel)
+            _assert_sweeps_match_per_mask_folds(m)
+            for loop_at in (0, 4, len(edges) + 1):
+                both = m.elements[:loop_at] + ("loop",) + m.elements[loop_at:]
+                _assert_sweeps_match_per_mask_folds(Matroid(both, parallel + [{"loop"}]))
+        for m in (Matroid([0, 1], [{0, 1}]), Matroid([0, 1, 2], [{1}]), Matroid([0, 1], [{1}])):
+            _assert_sweeps_match_per_mask_folds(m)
 
     def test_large_ground_set_flagged_unvalidated(self):
         m = Matroid.uniform(2, 13)
@@ -385,7 +392,8 @@ def test_rank_sweep_matches_the_subset_fold_on_graphic_matroids(edges):
 def test_minor_sweeps_step_once_per_distinct_minor(monkeypatch):
     # a sweep keyed by greedy basis or by subset steps once per independent
     # set (22,501 rank steps on Petersen's cycle matroid, 511 on U(4,10));
-    # the minor sweep steps once per distinct minor and level
+    # the minor sweep steps once per distinct minor and level, and the counts
+    # step through the same minors, which die once they hold a broken circuit
     import brokencircuits.matroids as mod
 
     fold = mod._image_fold
@@ -400,7 +408,7 @@ def test_minor_sweeps_step_once_per_distinct_minor(monkeypatch):
 
     monkeypatch.setattr(mod, "_image_fold", counting)
     petersen = Matroid.graphic(Graph(range(10), PETERSEN_EDGES))
-    for m, rank_steps, nbc_steps in ((petersen, 660, 330), (Matroid.uniform(4, 10), 40, 93)):
+    for m, rank_steps, nbc_steps in ((petersen, 660, 660), (Matroid.uniform(4, 10), 40, 40)):
         calls.clear()
         _minor_sweep(m)
         assert len(calls) == rank_steps
