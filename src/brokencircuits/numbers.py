@@ -5,14 +5,15 @@ inverses all arise as alternating gcd- or lcm-weighted sums over the
 subsets of one divisor domain: the divisors strictly between 1 and n, or
 the modified domain, every divisor but n (gcd) or but 1 (lcm), which a
 prime n needs.  Each sum is one op fold over the distinct gcd or lcm
-states; the chain reductions are the same fold, which drops a chain at a
-divisor that its last one does not divide, and the prime-support
-reductions the same fold over the primes or their complements.  Exact
+states; the chain reductions are the same fold, dropping a chain at a
+divisor that breaks it, the complexes count their faces by it, and the
+prime-support reductions fold the primes or their complements.  Exact
 values use Fractions; only the zeta reciprocal uses floats.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -399,58 +400,84 @@ class AbstractComplex:
                     raise PreconditionError(
                         f"not downward closed: {sorted(map(repr, f))} minus {v!r} is missing"
                     )
-        # faces by size, then by their sorted vertex reprs; one repr per vertex
+        # faces by size, then by their sorted vertex reprs (one repr per vertex), and their
+        # counts by size: downward closed, they have every size up to the largest
         reprs = {v: repr(v) for f in face_set for v in f}
         self.faces = tuple(sorted(face_set, key=lambda f: (len(f), sorted([reprs[v] for v in f]))))
-        self._face_set = face_set
+        self._counts = [len(list(group)) for _, group in itertools.groupby(self.faces, len)]
+
+    @classmethod
+    def _counted(cls, counts, lister):
+        """The complex with counts[k] faces of size k + 1, listed by ``lister()`` when asked for."""
+        cx = cls.__new__(cls)
+        cx._counts, cx._lister = counts, lister
+        return cx
+
+    @functools.cached_property
+    def faces(self):
+        listed = AbstractComplex(self._lister())
+        if listed._counts != self._counts:
+            raise CrossCheckFailed(f"listed {listed._counts} faces by size, counted {self._counts}")
+        return listed.faces
+
+    _face_set = functools.cached_property(lambda self: set(self.faces))
 
     def __len__(self):
-        return len(self.faces)
+        return sum(self._counts)
 
     def __contains__(self, face):
         return frozenset(face) in self._face_set
 
     @property
     def dimension(self):
-        return max((len(f) for f in self.faces), default=0) - 1
+        return len(self._counts) - 1
 
     def euler_characteristic(self):
         """sum over faces of (-1)^{|A| - 1}."""
-        return sum(-1 if (len(f) - 1) & 1 else 1 for f in self.faces)
+        return self.truncated_alternating(len(self._counts))
 
     def truncated_alternating(self, r):
         """The Euler sum cut off at faces of size at most r."""
-        return sum(-1 if (len(f) - 1) & 1 else 1 for f in self.faces if len(f) <= r)
+        return sum(-c if k & 1 else c for k, c in enumerate(self._counts[: max(r, 0)]))
+
+
+def _face_sweep(domain, start, op, is_face, grow):
+    """{tag: sum of (-1)^|A|} over the empty set and the faces A of a divisor complex: one sweep
+    of the states (op-fold of A, tag of A) from start, and taking i maps a tag t to grow(i, t)."""
+
+    def include(i, state):
+        fold = op(state[0], domain[i])
+        return (fold, grow(i, state[1])) if is_face(fold) else None
+
+    return _image_fold(len(domain), start, include, itemgetter(1))
 
 
 def divisor_complex(n, kind="gcd"):
-    """The complex of divisor subsets with gcd > 1 (kind "gcd") or with
-    lcm < n (kind "lcm"), over the divisors strictly between 1 and n."""
+    """The complex of divisor subsets with gcd > 1 (kind "gcd") or with lcm < n (kind "lcm"),
+    over the divisors strictly between 1 and n: one sweep counts its faces by size, and they
+    are listed only when asked for."""
     if kind not in ("gcd", "lcm"):
         raise SchemaError(f"unknown complex kind {kind!r}")
     # the faces are subsets of the d(n) - 2 divisors strictly between 1 and n
     d = len(divisors(n))
     _within_budget(2 ** (d - 2), f"{n} has {d} divisors")
     if kind == "gcd":
-        step, start, is_face = math.gcd, 0, (lambda g: g > 1)
+        op, start, is_face = math.gcd, 0, (lambda g: g > 1)
     else:
-        step, start, is_face = math.lcm, 1, (lambda l: l < n)
+        op, start, is_face = math.lcm, 1, (lambda l: l < n)
     # 1 (gcd) and n (lcm) lie in no face, so the modified domain, which every
     # n has, spans the same complex as the open interval
-    middle = _divisor_domain(n, step, modified_domain=True)
-    faces = []
-    # (next index, chosen divisors, their gcd or lcm); every extension of a
-    # non-face is a non-face, so only faces are pushed
-    stack = [(0, (), start)]
-    while stack:
-        idx, chosen, state = stack.pop()
-        if chosen:
-            faces.append(frozenset(chosen))
-        for j in range(idx, len(middle)):
-            new = step(state, middle[j])
-            if is_face(new):
-                stack.append((j + 1, chosen + (middle[j],), new))
-    return AbstractComplex(faces)
+    middle = _divisor_domain(n, op, modified_domain=True)
+    if any(is_face(op(x, m)) for x in divisors(n) if not is_face(x) for m in middle):
+        raise CrossCheckFailed(f"a non-face of {n} extends to a face, which the sweep would drop")
+
+    def faces():
+        listed = _face_sweep(middle, (start, frozenset()), op, is_face, lambda i, f: f | {middle[i]})
+        return [f for f in listed if f]
+
+    hist = _face_sweep(middle, (start, 0), op, is_face, lambda i, size: size + 1)
+    counts = [-c if k & 1 else c for k, c in sorted(hist.items()) if k]
+    return AbstractComplex._counted(counts, faces)
 
 
 def complement_isomorphic(n):
@@ -474,18 +501,16 @@ def bonferroni_all(complex_):
 
 
 def _chain_sums(divs, start, op):
-    """{op-fold of A from start: sum of (-1)^{|A|-1}} over the nonempty
-    divisibility chains A of the increasing divs, one entry for every
-    element of divs.  One sweep of the states (op-fold, last chosen
-    divisor), which drops a state at a divisor that is not a multiple of
-    its last one; start, the op-fold of the empty chain, is not in divs."""
+    """{op-fold of A from start: sum of (-1)^{|A|-1}} over the nonempty divisibility chains A
+    of divs, in increasing order of divs, which come so that op(last, d) == d keeps a chain
+    (decreasing for gcd, increasing for lcm): a chain's op-fold, the sweep's one state, is its
+    last divisor.  start, the op-fold of the empty chain, is not in divs."""
 
-    def include(i, state):
-        fold, last = state
-        return None if divs[i] % last else (op(fold, divs[i]), divs[i])
+    def include(i, last):
+        return divs[i] if op(last, divs[i]) == divs[i] else None
 
-    hist = _image_fold(len(divs), (start, 1), include, itemgetter(0))
-    return {d: -hist.get(d, 0) for d in divs}
+    hist = _image_fold(len(divs), start, include, lambda last: last)
+    return {d: -hist.get(d, 0) for d in sorted(divs)}
 
 
 def chain_gcd_inner_sums(n):
@@ -494,7 +519,7 @@ def chain_gcd_inner_sums(n):
 
     Each value equals -mu(n/d).
     """
-    return _chain_sums(_divisor_domain(n, math.gcd, modified_domain=True), 0, math.gcd)
+    return _chain_sums(_divisor_domain(n, math.gcd, modified_domain=True)[::-1], 0, math.gcd)
 
 
 def chain_lcm_inner_sums(n):

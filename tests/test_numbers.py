@@ -1,11 +1,14 @@
 import gc
 import itertools
 import math
+import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from brokencircuits.errors import CapExceeded, PreconditionError
+from brokencircuits import numbers
+from brokencircuits.errors import CapExceeded, CrossCheckFailed, PreconditionError
 from brokencircuits.numbers import (
     AbstractComplex,
     MultiplicativeFunction,
@@ -145,7 +148,6 @@ class TestPastTheSubsetCap:
         assert gcd_expansion(720720, "lcm") == 0
 
     def test_method_all_runs_the_subset_route(self, monkeypatch):
-        from brokencircuits import numbers
 
         ran = []
         for name in ("totient_subset_sum", "inverse_subset_sum"):
@@ -282,6 +284,95 @@ class TestComplexes:
         assert list(mixed.faces) == reference_order(faces)
 
 
+def _per_face_sums(faces, r):
+    """(len, dimension, Euler characteristic, truncated sum at r), face by face."""
+    signed = [-1 if (len(f) - 1) & 1 else 1 for f in faces]
+    return (
+        len(faces),
+        max((len(f) for f in faces), default=0) - 1,
+        sum(signed),
+        sum(s for f, s in zip(faces, signed) if len(f) <= r),
+    )
+
+
+class TestFaceCounts:
+    def test_swept_counts_match_combinations(self):
+        # every n <= 400 under the budget (all but 360), both kinds: faces by
+        # size over the open divisor interval, a size with no face ending the count
+        for n in range(1, 401):
+            if len(divisors(n)) > 22:
+                continue
+            middle = [d for d in divisors(n) if d not in (1, n)]
+            kinds = (("gcd", math.gcd, lambda g: g > 1), ("lcm", math.lcm, lambda l: l < n))
+            for kind, op, is_face in kinds:
+                expected = []
+                for r in range(1, len(middle) + 1):
+                    count = sum(1 for a in itertools.combinations(middle, r) if is_face(op(*a)))
+                    if not count:
+                        break
+                    expected.append(count)
+                assert divisor_complex(n, kind)._counts == expected, (n, kind)
+
+    def test_sums_list_no_face(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a face was listed")
+
+        sweeps = []
+        sweep = numbers._face_sweep
+        monkeypatch.setattr(numbers, "_face_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+        monkeypatch.setattr(AbstractComplex, "__init__", refuse)
+        for kind in ("gcd", "lcm"):
+            cx = divisor_complex(180, kind)
+            assert (len(cx), cx.euler_characteristic(), bonferroni_all(cx)) == (4167, 1, True)
+        assert len(sweeps) == 2
+
+    def test_listing_short_of_the_counts_is_caught(self, monkeypatch):
+        cx = divisor_complex(180)
+        sweep = numbers._face_sweep
+
+        def short(*args):
+            faces = sweep(*args)
+            # a largest face is maximal, so the rest stays downward closed
+            del faces[max(faces, key=len)]
+            return faces
+
+        monkeypatch.setattr(numbers, "_face_sweep", short)
+        with pytest.raises(CrossCheckFailed):
+            cx.faces
+        with pytest.raises(CrossCheckFailed):
+            frozenset({2}) in cx
+
+    def test_fold_that_leaves_a_non_face_is_refused(self, monkeypatch):
+        # a "gcd" that keeps the last divisor takes the non-face 1 back to faces
+        monkeypatch.setattr(numbers, "math", types.SimpleNamespace(gcd=lambda a, b: b or a, lcm=math.lcm))
+        with pytest.raises(CrossCheckFailed):
+            divisor_complex(12)
+
+    def test_listed_faces_and_membership(self):
+        cx = divisor_complex(12)
+        assert frozenset({2, 4, 6}) in cx and {3, 6} in cx
+        assert {2, 3} not in cx and {12} not in cx
+        assert len(cx.faces) == len(cx) == 9
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counts_match_per_face_sums_on_explicit_complexes(self, seed):
+        rng = random.Random(seed)
+        vertices = range(rng.randint(1, 7))
+        facets = [rng.sample(vertices, rng.randint(1, len(vertices))) for _ in range(rng.randint(0, 4))]
+        # every nonempty subset of every facet
+        faces = {frozenset(c) for f in facets for k in range(1, len(f) + 1)
+                 for c in itertools.combinations(f, k)}
+        cx = AbstractComplex(faces)
+        for r in range(-1, len(vertices) + 2):
+            got = (len(cx), cx.dimension, cx.euler_characteristic(), cx.truncated_alternating(r))
+            assert got == _per_face_sums(list(faces), r), r
+
+    def test_empty_complex(self):
+        for cx in (AbstractComplex([]), divisor_complex(1), divisor_complex(7, "lcm")):
+            assert (len(cx), cx.dimension, cx.euler_characteristic(), cx.faces) == (0, -1, 0, ())
+            assert all(cx.truncated_alternating(r) == 0 for r in range(-1, 3))
+
+
 class TestBonferroni:
     def test_s12_r1(self):
         sx = divisor_complex(12, "gcd")
@@ -401,6 +492,7 @@ def test_numbers_walks_leave_no_reference_cycles():
     calls = {
         "divisor_complex gcd": lambda: divisor_complex(180),
         "divisor_complex lcm": lambda: divisor_complex(180, "lcm"),
+        "divisor_complex faces": lambda: divisor_complex(180, "lcm").faces,
         "totient_subset_sum": lambda: totient_subset_sum(180, ident),
         "inverse_subset_sum": lambda: inverse_subset_sum(180, ident),
         "gcd_expansion gcd": lambda: gcd_expansion(180, "gcd"),
