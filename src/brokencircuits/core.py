@@ -271,26 +271,38 @@ def _broken_masks(ground, broken):
     ]
 
 
-def _prefixes_by_max(n, masks):
-    """Index broken masks by their maximum position.
+def _minimal_masks(masks):
+    """The inclusion-minimal members of ``masks``, each once.  A subset
+    avoids a family exactly when it avoids the family's minimal members, so
+    both kernels prune by these alone."""
+    minimal = []
+    # a mask can only include a strictly smaller one
+    for _, group in itertools.groupby(sorted(set(masks), key=int.bit_count), int.bit_count):
+        smaller = tuple(minimal)
+        minimal += [m for m in group if all(m & b != b for b in smaller)]
+    return minimal
 
-    Returns ``(by_max, end)``: ``by_max[i]`` holds, once each, the masks
-    whose maximum is position i with that position removed, and ``end`` is
-    one past the largest maximum (0 with no masks), so every subset of the
-    positions from ``end`` on is free.  ``by_max`` is None when a mask is
-    empty: the empty set lies in every subset, so none avoids it.
+
+def _prefixes_by_max(n, masks):
+    """Index distinct broken masks by their maximum position.
+
+    Returns ``(by_max, end)``: ``by_max[i]`` holds the masks whose maximum
+    is position i with that position removed, and ``end`` is one past the
+    largest maximum (0 with no masks), so every subset of the positions
+    from ``end`` on is free.  Both kernels pass the distinct minimal masks,
+    so no prefix repeats.  ``by_max`` is None when a mask is empty: the
+    empty set lies in every subset, so none avoids it.
     """
-    by_max = [() for _ in range(n)]
+    by_max = [[] for _ in range(n)]
     end = 0
     for m in masks:
         if m == 0:
             return None, 0
         top = m.bit_length() - 1
-        prefix = m ^ (1 << top)
-        if prefix not in by_max[top]:
-            by_max[top] += (prefix,)
+        by_max[top].append(m ^ (1 << top))
         end = max(end, top + 1)
-    return by_max, end
+    # the walk iterates tuples faster than lists
+    return [tuple(prefixes) for prefixes in by_max], end
 
 
 def _avoiding_bound(n, masks):
@@ -309,49 +321,42 @@ def _avoiding_bound(n, masks):
     return bound << (n - used.bit_count())
 
 
-def iter_avoiding_masks(ground, broken):
-    """Yield bitmasks of every subset that includes no broken set.
+def _avoiding_prefixes(n, masks, cube):
+    """Yield every subset of positions 0..cube-1 that includes none of
+    ``masks``, the distinct minimal broken masks over n positions, each of
+    which lies below ``cube``.  Each one stands for a block of 2^(n - cube)
+    avoiding subsets: itself with every subset of positions cube..n-1.
 
-    The walk decides the elements in increasing position, exclusion before
-    inclusion, so the masks come out in a fixed order: position 0 is the
-    most significant choice and "absent" sorts before "present".  Each
-    broken set is indexed by its maximum element; when the walk considers
-    adding element e, any broken set with maximum e whose remaining
-    elements are already present forbids the inclusion branch.  An empty
-    broken set forbids everything.
+    The walk decides the positions in increasing order, exclusion before
+    inclusion, so the prefixes come out in a fixed order: position 0 is the
+    most significant choice and "absent" sorts before "present".  Each mask
+    is indexed by its maximum position; when the walk considers adding
+    position p, a mask with maximum p whose other positions are already
+    present forbids the inclusion branch.  An empty mask forbids everything.
 
     The walk keeps an explicit stack: it follows the exclusion branch at
     once and pushes the allowed inclusion branch, so at most one entry per
-    position is pending and the working memory is O(n).  Once no broken
-    set has its maximum at or above a position, every subset of the
-    remaining elements survives.  That suffix (its last SUFFIX_CUBE_BITS
-    positions at most) is expanded from a table built once per call, in
-    the same order.  No list of the surviving subsets is built.  A subset
-    costs ``_mask_words(n)`` steps, and the walk is refused once it is sure
-    to pass WORK_BUDGET: up front by the subsets of the elements in no
-    broken set, which all survive, else at the push that passes it.
+    position is pending and the working memory is O(n).  A subset costs
+    ``_mask_words(n)`` steps, and the walk is refused once it is sure to
+    pass WORK_BUDGET: up front by the subsets of the positions in no mask,
+    which all avoid them, else at the push whose block passes it.  So a
+    walk refuses at the same number of avoiding subsets whatever its
+    ``cube``.
     """
-    n = len(ground)
-    masks = _broken_masks(ground, broken)
-    by_max, cube = _prefixes_by_max(n, masks)
+    by_max, _ = _prefixes_by_max(n, masks)
     if by_max is None:
         return
     what = f"the walk over {n} elements"
     words = _mask_words(n)
     free = n - reduce(or_, masks, 0).bit_count()
     _within_budget(2 ** min(free, WORK_BUDGET.bit_length()) * words, what)
-    cube = max(cube, n - SUFFIX_CUBE_BITS)
-    # every subset of positions cube..n-1, in walk order
-    suffix = [0]
-    for pos in range(n - 1, cube - 1, -1):
-        bit = 1 << pos
-        suffix += [s | bit for s in suffix]
+    block = 1 << (n - cube)
     stack = [(0, 0)]
     pop = stack.pop
     push = stack.append
     # each pushed entry yields one block when popped, so the stack holds at
-    # most the blocks the budget allows (one at least: the suffix is free)
-    blocks = WORK_BUDGET // (len(suffix) * words)
+    # most the blocks the budget allows (one at least: a block is free)
+    blocks = WORK_BUDGET // (block * words)
     room = blocks - 1
     while stack:
         pos, acc = pop()
@@ -361,10 +366,35 @@ def iter_avoiding_masks(ground, broken):
                     break
             else:
                 if not room:
-                    _within_budget((blocks + 1) * len(suffix) * words, what)
+                    _within_budget((blocks + 1) * block * words, what)
                 room -= 1
                 push((pos + 1, acc | (1 << pos)))
             pos += 1
+        yield acc
+
+
+def iter_avoiding_masks(ground, broken):
+    """Yield bitmasks of every subset that includes no broken set.
+
+    The masks come out in the order of ``_avoiding_prefixes``: position 0
+    is the most significant choice and "absent" sorts before "present".
+    The walk prunes by the minimal broken sets alone, which exclude the
+    same subsets as the whole family.  Once no minimal broken set has its
+    maximum at or above a position, every subset of the remaining elements
+    survives.  That suffix (its last SUFFIX_CUBE_BITS positions at most)
+    is expanded from a table built once per call, in the same order, after
+    each prefix.  No list of the surviving subsets is built, and the walk
+    is refused by the work budget as ``_avoiding_prefixes`` is.
+    """
+    n = len(ground)
+    masks = _minimal_masks(_broken_masks(ground, broken))
+    cube = max(reduce(or_, masks, 0).bit_length(), n - SUFFIX_CUBE_BITS)
+    # every subset of positions cube..n-1, in walk order
+    suffix = [0]
+    for pos in range(n - 1, cube - 1, -1):
+        bit = 1 << pos
+        suffix += [s | bit for s in suffix]
+    for acc in _avoiding_prefixes(n, masks, cube):
         for s in suffix:
             yield acc | s
 
@@ -398,11 +428,7 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     ``include``, ``settle`` and ``key`` see only the caller's state.  An
     empty mask leaves no subset.
     """
-    minimal = []
-    # a mask can only include a strictly smaller one
-    for _, group in itertools.groupby(sorted(set(broken), key=int.bit_count), int.bit_count):
-        smaller = tuple(minimal)
-        minimal += [m for m in group if all(m & b != b for b in smaller)]
+    minimal = _minimal_masks(broken)
     by_max, _ = _prefixes_by_max(n, minimal)
     if by_max is None:
         return {}
@@ -556,8 +582,19 @@ def sum_full(f, ground):
 
 
 def sum_pruned(f, ground, broken):
-    """Sum of f over the subsets that include no broken set, each evaluated once."""
-    return _group_sum(map(f.mask_function(ground), iter_avoiding_masks(ground, broken)), f.zero)
+    """Sum of f over the subsets that include no broken set, each evaluated once.
+
+    The walk stops at ``end``, one past the largest maximum of a minimal
+    broken set.  Each avoiding prefix ``acc`` below it stands for the block
+    ``range(acc, 2^n, 2^end)``: ``acc`` with every subset of the free
+    positions from ``end`` on, mapped through f in C.
+    """
+    n = len(ground)
+    masks = _minimal_masks(_broken_masks(ground, broken))
+    end = reduce(or_, masks, 0).bit_length()
+    prefixes = _avoiding_prefixes(n, masks, end)
+    blocks = map(range, prefixes, itertools.repeat(1 << n), itertools.repeat(1 << end))
+    return _group_sum(map(f.mask_function(ground), itertools.chain.from_iterable(blocks)), f.zero)
 
 
 def enumerate_avoiding(ground, broken):
@@ -842,12 +879,15 @@ def maxmin_identity(values, k):
     """Both sides of the maximum-minimums identity; they are asserted equal.
 
     The left side alternates the k-th smallest value over all subsets of
-    size at least k; the right side is C(n-1, k-1) times the maximum.
+    size at least k; the right side is C(n-1, k-1) times the maximum.  The
+    left side visits up to 2^n subsets, so it is refused up front past the
+    work budget.
     """
     vals = list(values)
     n = len(vals)
     if not 1 <= k <= n:
         raise PreconditionError(f"k={k} is out of range for {n} values")
+    _within_budget(2 ** min(n, WORK_BUDGET.bit_length()), f"the identity over 2^{n} subsets")
     lhs = None
     for r in range(k, n + 1):
         for combo in itertools.combinations(vals, r):

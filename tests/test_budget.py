@@ -55,13 +55,23 @@ def _free_walk(n):
     return core.enumerate_avoiding(OrderedGroundSet(range(n)), [{0}])
 
 
-def _walk(b, pairs, pad=0):
-    """The pruned walk over b + 1 + pad elements, none free, with the broken sets {0..b-1},
-    {j, b} for j < pairs (at least 1) and each padding element: 2^b - 1 subsets without b
-    and 2^(b - pairs) with it."""
+def _walked(b, pairs, pad=0):
+    """b + 1 + pad elements, none free, with the broken sets {0..b-1}, {j, b} for
+    j < pairs (at least 1) and each padding element: 2^b - 1 avoiding subsets without
+    b and 2^(b - pairs) with it."""
     broken = [set(range(b))] + [{j, b} for j in range(pairs)]
     broken += [{i} for i in range(b + 1, b + 1 + pad)]
-    return core.enumerate_avoiding(OrderedGroundSet(range(b + 1 + pad)), broken)
+    return OrderedGroundSet(range(b + 1 + pad)), broken
+
+
+def _walk(b, pairs, pad=0):
+    """The pruned walk over the ``_walked`` family."""
+    return core.enumerate_avoiding(*_walked(b, pairs, pad))
+
+
+def _pruned_sum(b, pairs, pad=0):
+    """The pruned sum of the sign function over the ``_walked`` family, by blocks."""
+    return core.sum_pruned(core.sign_function(), *_walked(b, pairs, pad))
 
 
 def _triangle(n):
@@ -211,6 +221,17 @@ SITES = {
         lambda: _walk(9, 9, pad=64),
         lambda: _walk(9, 8, pad=64),
     ),
+    # the same families through the block sum, which must refuse where the walk does
+    "pruned sum, yielded subsets": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1 << 10),
+        lambda: _pruned_sum(10, 10),
+        lambda: _pruned_sum(10, 9),
+    ),
+    "pruned sum, mask words": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1 << 10),
+        lambda: _pruned_sum(9, 9, pad=64),
+        lambda: _pruned_sum(9, 8, pad=64),
+    ),
     "sum_full, 2^n": (
         lambda mp: mp.setattr(core, "_group_sum", _reached),
         lambda: core.sum_full(core.sign_function(), OrderedGroundSet(range(20))),
@@ -231,6 +252,12 @@ SITES = {
         lambda mp: mp.setattr(hypergraphs, "itertools", types.SimpleNamespace(permutations=_reached)),
         lambda: hypergraphs.tight_cycles(_triangle(9), 2),
         lambda: hypergraphs.tight_cycles(_triangle(10), 2),
+    ),
+    # 2^20 subsets of 20 values; the patched loop shows the check passed
+    "maximum-minimums identity, 2^n": (
+        lambda mp: mp.setattr(core, "itertools", types.SimpleNamespace(combinations=_reached)),
+        lambda: core.maxmin_identity(range(20), 1),
+        lambda: core.maxmin_identity(range(21), 1),
     ),
     "random graph, C(n, 2)": (
         lambda mp: None,
@@ -293,6 +320,22 @@ def test_walk_past_the_budget_by_its_free_elements_yields_nothing():
     walk = core.iter_avoiding_masks(OrderedGroundSet(range(24)), [{0, 1}])
     with pytest.raises(CapExceeded, match="the walk over 24 elements: " + BUDGET):
         next(walk)
+
+
+def test_walk_and_block_sum_refuse_at_the_same_subsets(monkeypatch):
+    # 13 elements, 11 after the last broken set: the block sum's blocks hold 2^11
+    # subsets and the walk's 2^SUFFIX_CUBE_BITS; under a budget of 2^12 both admit
+    # 2 x 2^11 avoiding subsets and refuse 3 x 2^11 at a push
+    monkeypatch.setattr(core, "WORK_BUDGET", 1 << 12)
+    ground = OrderedGroundSet(range(13))
+    for broken, admitted in (([{1}], True), ([{0, 1}], False)):
+        for route in (core.enumerate_avoiding,
+                      lambda ground, broken: core.sum_pruned(core.sign_function(), ground, broken)):
+            if admitted:
+                route(ground, broken)
+            else:
+                with pytest.raises(CapExceeded, match="past the work budget of 4096 steps"):
+                    route(ground, broken)
 
 
 def test_sum_over_maxima_on_b5_sums_two_subsets():

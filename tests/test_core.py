@@ -344,6 +344,11 @@ def test_avoiding_masks_match_brute_filter():
         if trial % 4 == 0:
             # a broken set ending at the last element leaves no free suffix
             broken.append(frozenset(rng.sample(range(n - 1), min(2, n - 1))) | {n - 1})
+        if trial % 3 == 0 and broken:
+            # duplicates and supersets prune nothing more than the minimal sets
+            b = rng.choice(broken)
+            broken += [b, b | {rng.randrange(n)}, b | frozenset(rng.sample(range(n), min(2, n)))]
+            rng.shuffle(broken)
         got = list(iter_avoiding_masks(ground, broken))
         bmasks = [ground.mask_of(b) for b in broken]
         assert got == _recursive_avoiding(n, bmasks)
@@ -364,6 +369,77 @@ def test_avoiding_masks_edge_families(n):
         got = list(iter_avoiding_masks(ground, last))
         assert got == _recursive_avoiding(n, [1 | 1 << (n - 1)])
         assert len(got) == 3 << (n - 2)
+
+
+def _sum_cases(rng, n):
+    """An int table, an IntPolynomial table and a Fraction set function over n elements."""
+    ground = OrderedGroundSet(range(n))
+    ints = [rng.randint(-9, 9) for _ in range(1 << n)]
+    polys = [IntPolynomial([rng.randint(-3, 3) for _ in range(3)]) for _ in range(1 << n)]
+    weights = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    return ground, [
+        TableSetFunction(ground, ints),
+        TableSetFunction(ground, polys, IntPolynomial.zero()),
+        SetFunction(lambda s: sum((weights[e] for e in s), Fraction(-len(s))), Fraction(0)),
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pruned_sum_by_blocks_equals_the_sum_over_the_walk(data):
+    # the block sum against the values of the masks the walk yields, one by
+    # one, on families with duplicates, supersets and empty broken sets
+    from brokencircuits.core import iter_avoiding_masks
+
+    n = data.draw(st.integers(0, 10), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    sets = st.frozensets(st.integers(0, max(n - 1, 0)), max_size=min(n, 4))
+    broken = data.draw(st.lists(sets, max_size=6), label="broken")
+    dup = data.draw(st.lists(st.sampled_from(broken), max_size=3), label="dup") if broken else []
+    broken += dup + [b | {n - 1} for b in dup if n]
+    ground, functions = _sum_cases(rng, n)
+    masks = list(iter_avoiding_masks(ground, broken))
+    for f in functions:
+        walked = sum(map(f.mask_function(ground), masks), f.zero)
+        assert sum_pruned(f, ground, broken) == walked, (f, broken)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 12])
+def test_pruned_sum_edge_families(n):
+    # no broken sets: the full sum; an empty broken set: zero; a broken set
+    # ending at the last position: blocks of one subset
+    rng = random.Random(60 + n)
+    ground, functions = _sum_cases(rng, n)
+    families = [[], [frozenset()]]
+    if n:
+        families.append([frozenset({0}), frozenset()])
+    if n >= 2:
+        families.append([frozenset({0, n - 1})])
+        families.append([frozenset({n - 1}), frozenset({0, n - 1})])
+    for f in functions:
+        fm = f.mask_function(ground)
+        for broken in families:
+            bmasks = [ground.mask_of(b) for b in broken]
+            expected = sum((fm(m) for m in sorted(_brute_avoiding(n, bmasks))), f.zero)
+            assert sum_pruned(f, ground, broken) == expected, broken
+        assert sum_pruned(f, ground, []) == sum_full(f, ground)
+
+
+def test_pruned_sum_evaluates_f_once_per_avoiding_subset():
+    rng = random.Random(71)
+    for trial in range(40):
+        n = rng.randint(0, 12)
+        broken = [frozenset(rng.sample(range(n), rng.randint(1, min(3, n))))
+                  for _ in range(rng.randint(0, 4) if n else 0)]
+        if trial % 2 and broken:
+            broken += [broken[0], broken[0] | {n - 1}]
+        ground = OrderedGroundSet(range(n))
+        calls = []
+        f = SetFunction(lambda s: calls.append(ground.mask_of(s)) or 1, 0)
+        total = sum_pruned(f, ground, broken)
+        avoiding = _brute_avoiding(n, [ground.mask_of(b) for b in broken])
+        assert total == len(calls) == len(avoiding)
+        assert sorted(calls) == sorted(avoiding)
 
 
 def test_avoiding_masks_is_a_lazy_generator():
