@@ -31,9 +31,13 @@ from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaErro
 CANCELLATION_CAP = 18
 # every route refuses up front when the steps it predicts pass this, the pruned walk as it goes
 WORK_BUDGET = 1 << 20
-# iter_avoiding_masks expands a free suffix of at most this many elements
-# from a table of 2^SUFFIX_CUBE_BITS masks
+# iter_avoiding_masks expands its last elements, and sum_pruned its lowest,
+# at most this many, from tables of at most 2^SUFFIX_CUBE_BITS masks
 SUFFIX_CUBE_BITS = 10
+# iter_avoiding_masks keeps one suffix table per pattern of the prefix
+# positions that the broken sets reaching into the suffix read, while they
+# read at most this many
+SUFFIX_KEY_BITS = 4
 
 
 def _within_budget(work, what):
@@ -283,11 +287,12 @@ def _minimal_masks(masks):
     return minimal
 
 
-def _prefixes_by_max(n, masks):
-    """Index distinct broken masks by their maximum position.
+def _prefixes_by_max(n, masks, by_min=False):
+    """Index distinct broken masks by their maximum position, or by their
+    minimum one when ``by_min``: the position a walk decides last.
 
-    Returns ``(by_max, end)``: ``by_max[i]`` holds the masks whose maximum
-    is position i with that position removed, and ``end`` is one past the
+    Returns ``(by_max, end)``: ``by_max[i]`` holds the masks indexed at
+    position i with that position removed, and ``end`` is one past the
     largest maximum (0 with no masks), so every subset of the positions
     from ``end`` on is free.  Both kernels pass the distinct minimal masks,
     so no prefix repeats.  ``by_max`` is None when a mask is empty: the
@@ -298,9 +303,9 @@ def _prefixes_by_max(n, masks):
     for m in masks:
         if m == 0:
             return None, 0
-        top = m.bit_length() - 1
-        by_max[top].append(m ^ (1 << top))
-        end = max(end, top + 1)
+        bit = m & -m if by_min else 1 << (m.bit_length() - 1)
+        by_max[bit.bit_length() - 1].append(m ^ bit)
+        end = max(end, m.bit_length())
     # the walk iterates tuples faster than lists
     return [tuple(prefixes) for prefixes in by_max], end
 
@@ -321,36 +326,46 @@ def _avoiding_bound(n, masks):
     return bound << (n - used.bit_count())
 
 
-def _avoiding_prefixes(n, masks, cube):
-    """Yield every subset of positions 0..cube-1 that includes none of
-    ``masks``, the distinct minimal broken masks over n positions, each of
-    which lies below ``cube``.  Each one stands for a block of 2^(n - cube)
-    avoiding subsets: itself with every subset of positions cube..n-1.
+def _downward(positions):
+    """Whether a walk over ``positions`` decides them in decreasing order,
+    so that the position of a mask it decides last is the mask's minimum."""
+    return len(positions) > 1 and positions[0] > positions[-1]
 
-    The walk decides the positions in increasing order, exclusion before
-    inclusion, so the prefixes come out in a fixed order: position 0 is the
-    most significant choice and "absent" sorts before "present".  Each mask
-    is indexed by its maximum position; when the walk considers adding
-    position p, a mask with maximum p whose other positions are already
-    present forbids the inclusion branch.  An empty mask forbids everything.
+
+def _avoiding_prefixes(n, masks, positions, block):
+    """Yield every subset of ``positions`` that includes none of ``masks``,
+    the distinct minimal broken masks over n positions, each of which lies
+    within ``positions``.  Each one stands for a block of ``block`` avoiding
+    subsets, which the caller expands: itself with each of them.
+
+    The walk decides the positions in the order given, increasing or
+    decreasing, exclusion before inclusion, so the prefixes come out in a
+    fixed order: the first position is the most significant choice and
+    "absent" sorts before "present".  Each mask is indexed by the position
+    of it decided last; when the walk considers adding position p, a mask
+    indexed at p whose other positions are already present forbids the
+    inclusion branch.  An empty mask forbids everything.  Decreasing
+    positions yield the prefixes in increasing order.
 
     The walk keeps an explicit stack: it follows the exclusion branch at
     once and pushes the allowed inclusion branch, so at most one entry per
     position is pending and the working memory is O(n).  A subset costs
     ``_mask_words(n)`` steps, and the walk is refused once it is sure to
     pass WORK_BUDGET: up front by the subsets of the positions in no mask,
-    which all avoid them, else at the push whose block passes it.  So a
-    walk refuses at the same number of avoiding subsets whatever its
-    ``cube``.
+    which all avoid them, times ``block``, else at the push whose block
+    passes it.  So a walk refuses at the same number of avoiding subsets
+    whatever its ``positions`` and ``block``.
     """
-    by_max, _ = _prefixes_by_max(n, masks)
-    if by_max is None:
+    by_last, _ = _prefixes_by_max(n, masks, by_min=_downward(positions))
+    if by_last is None:
         return
     what = f"the walk over {n} elements"
     words = _mask_words(n)
-    free = n - reduce(or_, masks, 0).bit_count()
-    _within_budget(2 ** min(free, WORK_BUDGET.bit_length()) * words, what)
-    block = 1 << (n - cube)
+    free = len(positions) - reduce(or_, masks, 0).bit_count()
+    _within_budget(2 ** min(free, WORK_BUDGET.bit_length()) * block * words, what)
+    # the masks of each decided position, in walk order
+    steps = [(by_last[p], p) for p in positions]
+    cube = len(steps)
     stack = [(0, 0)]
     pop = stack.pop
     push = stack.append
@@ -359,18 +374,38 @@ def _avoiding_prefixes(n, masks, cube):
     blocks = WORK_BUDGET // (block * words)
     room = blocks - 1
     while stack:
-        pos, acc = pop()
-        while pos < cube:
-            for prefix in by_max[pos]:
+        i, acc = pop()
+        while i < cube:
+            prefixes, pos = steps[i]
+            for prefix in prefixes:
                 if acc & prefix == prefix:
                     break
             else:
                 if not room:
                     _within_budget((blocks + 1) * block * words, what)
                 room -= 1
-                push((pos + 1, acc | (1 << pos)))
-            pos += 1
+                push((i + 1, acc | (1 << pos)))
+            i += 1
         yield acc
+
+
+def _avoiding_table(n, masks, positions):
+    """Every subset of ``positions`` that includes none of ``masks``, each
+    of which lies within them, as a list built by doubling: each position
+    in the order given appends the allowed inclusions to the list so far.
+    Increasing positions give increasing masks; decreasing ones give the
+    walk order of ``_avoiding_prefixes``.
+    """
+    by_last, _ = _prefixes_by_max(n, masks, by_min=_downward(positions))
+    table = [0]
+    for pos in positions:
+        bit = 1 << pos
+        checks = by_last[pos]
+        if checks:
+            table += [t | bit for t in table if all(t & q != q for q in checks)]
+        else:
+            table += [t | bit for t in table]
+    return table
 
 
 def iter_avoiding_masks(ground, broken):
@@ -379,22 +414,51 @@ def iter_avoiding_masks(ground, broken):
     The masks come out in the order of ``_avoiding_prefixes``: position 0
     is the most significant choice and "absent" sorts before "present".
     The walk prunes by the minimal broken sets alone, which exclude the
-    same subsets as the whole family.  Once no minimal broken set has its
-    maximum at or above a position, every subset of the remaining elements
-    survives.  That suffix (its last SUFFIX_CUBE_BITS positions at most)
-    is expanded from a table built once per call, in the same order, after
-    each prefix.  No list of the surviving subsets is built, and the walk
-    is refused by the work budget as ``_avoiding_prefixes`` is.
+    same subsets as the whole family.  It decides the positions below a
+    cut at most SUFFIX_CUBE_BITS from the top, and after each prefix the
+    subsets of the positions from the cut on that it allows are expanded
+    from a table, in the same order.  A table depends only on which
+    positions of the sets reaching past the cut the prefix holds, so one
+    is built per such pattern while those sets read at most
+    SUFFIX_KEY_BITS positions below the cut; else the cut moves up to the
+    last broken set, past which every subset survives.  No list of the
+    surviving subsets is built.  The walk is refused by the work budget as
+    ``_avoiding_prefixes`` is, by the subsets each prefix is sure to
+    stand for, and at the latest at the prefix whose subsets pass it.
     """
     n = len(ground)
     masks = _minimal_masks(_broken_masks(ground, broken))
-    cube = max(reduce(or_, masks, 0).bit_length(), n - SUFFIX_CUBE_BITS)
-    # every subset of positions cube..n-1, in walk order
-    suffix = [0]
-    for pos in range(n - 1, cube - 1, -1):
-        bit = 1 << pos
-        suffix += [s | bit for s in suffix]
-    for acc in _avoiding_prefixes(n, masks, cube):
+    if 0 in masks:  # the empty set lies in every subset
+        return
+    cut = max(n - SUFFIX_CUBE_BITS, 0)
+    below = (1 << cut) - 1
+    reach = reduce(or_, (m & below for m in masks if m >> cut), 0)
+    if reach.bit_count() > SUFFIX_KEY_BITS:
+        cut = max(cut, reduce(or_, masks, 0).bit_length())
+        below, reach = (1 << cut) - 1, 0
+    crossing = [(m & below, m & ~below) for m in masks if m >> cut]
+    free = n - cut - reduce(or_, (hi for _, hi in crossing), 0).bit_count()
+    prefixes = _avoiding_prefixes(n, [m for m in masks if not m >> cut], range(cut), 1 << free)
+    if not crossing:
+        # every subset of positions cut..n-1 survives after every prefix
+        suffix = _avoiding_table(n, [], range(n - 1, cut - 1, -1))
+        for acc in prefixes:
+            for s in suffix:
+                yield acc | s
+        return
+    tables = {}
+    count = 0
+    words = _mask_words(n)
+    for acc in prefixes:
+        key = acc & reach
+        suffix = tables.get(key)
+        if suffix is None:
+            live = _minimal_masks([hi for lo, hi in crossing if key & lo == lo])
+            suffix = tables[key] = _avoiding_table(n, live, range(n - 1, cut - 1, -1))
+        # a prefix may stand for more than the walk counts it for
+        count += len(suffix)
+        if count * words > WORK_BUDGET:
+            _within_budget(count * words, f"the walk over {n} elements")
         for s in suffix:
             yield acc | s
 
@@ -584,16 +648,37 @@ def sum_full(f, ground):
 def sum_pruned(f, ground, broken):
     """Sum of f over the subsets that include no broken set, each evaluated once.
 
-    The walk stops at ``end``, one past the largest maximum of a minimal
-    broken set.  Each avoiding prefix ``acc`` below it stands for the block
-    ``range(acc, 2^n, 2^end)``: ``acc`` with every subset of the free
-    positions from ``end`` on, mapped through f in C.
+    A table decides the lowest SUFFIX_CUBE_BITS positions, less those of
+    every minimal broken set that reaches above them, so that each set
+    lies within the table's positions or misses them.  It holds every
+    subset of its positions that avoids the sets within, and doubles by
+    the lowest free positions above them while it stays within
+    2^SUFFIX_CUBE_BITS masks.  The walk decides the other positions from
+    the top down, against the other sets, and each avoiding prefix ``acc``
+    stands for the block ``map(acc.__or__, table)``, mapped through f in
+    C.  The prefixes come in increasing order and a block spans few
+    positions, so consecutive blocks read nearby masks wherever the broken
+    sets lie.
     """
     n = len(ground)
     masks = _minimal_masks(_broken_masks(ground, broken))
-    end = reduce(or_, masks, 0).bit_length()
-    prefixes = _avoiding_prefixes(n, masks, end)
-    blocks = map(range, prefixes, itertools.repeat(1 << n), itertools.repeat(1 << end))
+    if 0 in masks:  # the empty set lies in every subset
+        return f.zero
+    inside = (1 << min(n, SUFFIX_CUBE_BITS)) - 1
+    while reaching := reduce(or_, (m for m in masks if m & ~inside), 0) & inside:
+        inside ^= reaching
+    decided = {p for p in range(min(n, SUFFIX_CUBE_BITS)) if inside >> p & 1}
+    within = [m for m in masks if not m & ~inside]
+    table = _avoiding_table(n, within, sorted(decided))
+    unused = ~reduce(or_, masks, inside) & ((1 << n) - 1)
+    while unused and 2 * len(table) <= 1 << SUFFIX_CUBE_BITS:
+        bit = unused & -unused
+        unused ^= bit
+        decided.add(bit.bit_length() - 1)
+        table += [t | bit for t in table]
+    walked = [p for p in reversed(range(n)) if p not in decided]
+    prefixes = _avoiding_prefixes(n, [m for m in masks if m & ~inside], walked, len(table))
+    blocks = (map(acc.__or__, table) for acc in prefixes)
     return _group_sum(map(f.mask_function(ground), itertools.chain.from_iterable(blocks)), f.zero)
 
 

@@ -323,9 +323,10 @@ def test_walk_past_the_budget_by_its_free_elements_yields_nothing():
 
 
 def test_walk_and_block_sum_refuse_at_the_same_subsets(monkeypatch):
-    # 13 elements, 11 after the last broken set: the block sum's blocks hold 2^11
-    # subsets and the walk's 2^SUFFIX_CUBE_BITS; under a budget of 2^12 both admit
-    # 2 x 2^11 avoiding subsets and refuse 3 x 2^11 at a push
+    # 13 elements, 11 after the last broken set: the block sum's table holds the
+    # avoiding subsets of the lowest elements and the walk's suffix 2^SUFFIX_CUBE_BITS
+    # subsets of the top ones; under a budget of 2^12 both admit 2 x 2^11 avoiding
+    # subsets and refuse 3 x 2^11
     monkeypatch.setattr(core, "WORK_BUDGET", 1 << 12)
     ground = OrderedGroundSet(range(13))
     for broken, admitted in (([{1}], True), ([{0, 1}], False)):
