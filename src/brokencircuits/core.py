@@ -22,6 +22,7 @@ functions over immutable inputs, so concurrent use is safe.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import reduce
 from math import comb
 from operator import itemgetter, or_
@@ -29,7 +30,7 @@ from operator import itemgetter, or_
 from .errors import CapExceeded, CrossCheckFailed, PreconditionError, SchemaError
 
 CANCELLATION_CAP = 18
-# every route refuses up front when the steps it predicts pass this, the pruned walk as it goes
+# every route refuses up front when the steps it predicts pass this, a walk or sweep as it goes
 WORK_BUDGET = 1 << 20
 # iter_avoiding_masks expands its last elements, and sum_pruned its lowest,
 # at most this many, from tables of at most 2^SUFFIX_CUBE_BITS masks
@@ -310,22 +311,6 @@ def _prefixes_by_max(n, masks, by_min=False):
     return [tuple(prefixes) for prefixes in by_max], end
 
 
-def _avoiding_bound(n, masks):
-    """Upper bound on the subsets of n positions that include no mask.
-
-    Greedily picks pairwise disjoint masks B1..Bk in the given order; the
-    subsets avoiding just those number 2^(n - sum |Bi|) * prod (2^|Bi| - 1),
-    and avoiding more masks leaves no more subsets.
-    """
-    used = 0
-    bound = 1
-    for m in masks:
-        if not m & used:
-            used |= m
-            bound *= (1 << m.bit_count()) - 1
-    return bound << (n - used.bit_count())
-
-
 def _downward(positions):
     """Whether a walk over ``positions`` decides them in decreasing order,
     so that the position of a mask it decides last is the mask's minimum."""
@@ -475,7 +460,10 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     negated, at ``include(i, state)``, and states that cancel are dropped.
     The work is the sum of the distinct states per level, n times a small
     image (a gcd, lcm, hull, neighbourhood union, frontier partition or
-    contracted minor).
+    contracted minor).  Each kept state costs ``_mask_words(n)`` steps, as
+    a subset of the pruned walk does, and the sweep is refused once the
+    states it has kept pass WORK_BUDGET: one check per level, and a level
+    holds at most twice the states of the one before it.
 
     ``settle(i, state)``, when given, maps every state after position i,
     both the subsets that take i and those that do not.  It forgets what no
@@ -501,6 +489,7 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     done = [sum(1 << k for k, (top, _) in enumerate(pairs) if top == i) for i in range(n)]
     held = [sum(1 << k for k, (_, prefix) in enumerate(pairs) if prefix >> i & 1) for i in range(n)]
     level = {(1 << len(pairs)) - 1: {start: 1}}
+    words, work = _mask_words(n), 0
     for i in range(n):
         nxt = {}
         dead, kept = done[i], ~(done[i] | held[i])
@@ -530,6 +519,8 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
             states = {state: count for state, count in states.items() if count}
             if states:
                 level[flags] = states
+                work += len(states) * words
+        _within_budget(work, f"the sweep over {n} positions")
     hist = {}
     for states in level.values():
         for state, count in states.items():
@@ -577,13 +568,21 @@ def _component_histogram(n_vertices, edges, broken=()):
 
     ``edges`` lists each edge as a tuple of vertex indices.  The sum is
     swept over frontier partitions: the state is the component count plus
-    a string holding one character per vertex, naming its block by its
-    smallest live vertex, so merging two blocks is one ``str.replace``, and
-    a vertex is settled after its last edge, since it can no longer change
-    the count (Sekine, Imai and Tani, "Computing the Tutte polynomial of a
-    graph of moderate size", ISAAC 1995).
+    a string holding one character per vertex that some edge touches (the
+    others are components on their own), naming its block by its smallest
+    live vertex, so merging two blocks is one ``str.replace``, and a vertex
+    is settled after its last edge, since it can no longer change the count
+    (Sekine, Imai and Tani, "Computing the Tutte polynomial of a graph of
+    moderate size", ISAAC 1995).  The characters and the blank after them
+    are code points, so past ``sys.maxunicode`` touched vertices it refuses.
     """
-    start = (n_vertices, "".join(map(chr, range(n_vertices))))
+    touched = sorted({v for vs in edges for v in vs})
+    if len(touched) > sys.maxunicode:
+        raise CapExceeded(f"{len(touched)} touched vertices: past the {sys.maxunicode} "
+                          "that the sweep's labels can name")
+    index = {v: k for k, v in enumerate(touched)}
+    edges = [tuple(map(index.__getitem__, vs)) for vs in edges]
+    start = (n_vertices, "".join(map(chr, range(len(touched)))))
 
     def merge(pos, state):
         count, labels = state
@@ -597,7 +596,7 @@ def _component_histogram(n_vertices, edges, broken=()):
         return count, labels
 
     last = {v: pos for pos, vs in enumerate(edges) for v in vs}
-    settle = _block_settler(len(edges), last, chr(n_vertices))
+    settle = _block_settler(len(edges), last, chr(len(touched)))
     return _image_fold(len(edges), start, merge, itemgetter(0), settle, broken)
 
 

@@ -64,10 +64,6 @@ class Graph:
         for u, v in self.edges:
             self._adj[self._vi[u]].add(self._vi[v])
             self._adj[self._vi[v]].add(self._vi[u])
-        # closed neighbourhood of vertex i as a vertex bitmask, keyed by 1 << i
-        self._nmask = {
-            1 << i: (1 << i) | sum(1 << j for j in self._adj[i]) for i in range(n)
-        }
         self._edge_ends = [(self._vi[u], self._vi[v]) for u, v in self.edges]
         self._edge_index = {frozenset(e): i for i, e in enumerate(self.edges)}
 
@@ -106,10 +102,8 @@ class Graph:
                 vertices = (vertices,)
         except TypeError:
             pass
-        mask = 0
-        for v in vertices:
-            mask |= self._nmask[1 << self._vi[v]]
-        return frozenset(self.vertices[i] for i in range(len(self.vertices)) if mask >> i & 1)
+        vertices = frozenset(vertices)
+        return vertices.union(*(map(self.vertices.__getitem__, self._adj[self._vi[v]]) for v in vertices))
 
     def spanning_component_count(self, edge_ids):
         """c(V, A): connected components of the spanning subgraph (V, A)."""
@@ -149,18 +143,15 @@ class Graph:
                     labels = labels.replace(name, low)
             return stat + weight + 1 - len(names), labels[:i] + low + labels[i + 1:]
 
-        last = {v: i for i, m in enumerate(self._settled_masks()) for v in range(n) if m >> v & 1}
+        # v settles at max N[v]
+        last = {v: max({v, *self._adj[v]}) for v in range(n)}
         return _image_fold(n, (0, blank * n), include, itemgetter(0),
                            _block_settler(n, last, blank), broken)
 
-    def _settled_masks(self):
-        """Per position i, the mask of the vertices v with max N[v] = i: once
-        i is decided, no later vertex is v or one of its neighbours.  The
-        frontier sweep, acyclic q and pruned domination all settle by it."""
-        settled = [0] * len(self.vertices)
-        for bit, closed in self._nmask.items():
-            settled[closed.bit_length() - 1] |= bit
-        return settled
+    def _closed_masks(self):
+        """N[i] of each vertex i as a vertex bitmask: |V| masks of |V| bits,
+        so only the vertex routes build them, after their 2^|V| check."""
+        return [(1 << i) | sum(1 << j for j in adj) for i, adj in enumerate(self._adj)]
 
     def induced_component_count(self, vertices):
         """c(G[A]) = c(V, E(A)) - (|V| - |A|): each vertex outside A is a
@@ -177,6 +168,15 @@ class Graph:
         if set(new_order) != set(self.vertices) or len(new_order) != len(self.vertices):
             raise SchemaError("new order must be a permutation of the vertices")
         return Graph(new_order, self.edges)
+
+
+def _settled_masks(closed):
+    """Per position i, the mask of the vertices v with max N[v] = i, from the
+    ``closed`` masks: once i is decided, no later vertex is v or a neighbour."""
+    settled = [0] * len(closed)
+    for v, mask in enumerate(closed):
+        settled[mask.bit_length() - 1] |= 1 << v
+    return settled
 
 
 def _vertex_cycles(graph):
@@ -247,8 +247,6 @@ def chromatic_polynomial(graph, method="broken_circuit"):
     coefficients directly.
     """
     if method == "full":
-        m = len(graph.edges)
-        _within_budget(1 << m, f"the full sum over 2^{m} edge subsets")
         return IntPolynomial.from_terms(_component_histogram(len(graph.vertices), graph._edge_ends))
     if method == "broken_circuit":
         return IntPolynomial.from_whitney_counts(len(graph.vertices), whitney_edge_counts(graph))
@@ -322,8 +320,9 @@ def q_at_minus_one(graph, method="direct"):
         else:
             # the state is (A on the unsettled vertices, |A| - m(G[A])); including i adds
             # 1 - |N(i) & A|, and a vertex settles once it and its neighbours are decided
-            nbs = [graph._nmask[1 << i] ^ (1 << i) for i in range(n)]
-            keep = [~m for m in graph._settled_masks()]
+            closed = graph._closed_masks()
+            nbs = [m ^ (1 << i) for i, m in enumerate(closed)]
+            keep = [~m for m in _settled_masks(closed)]
 
             def include(i, state):
                 a, exponent = state
@@ -358,9 +357,9 @@ def domination_polynomial(graph, method="direct", broken=None):
     """
     n = len(graph.vertices)
     _within_budget(1 << n, f"the domination sum over 2^{n} vertex subsets")
-    nbs = [graph._nmask[1 << i] for i in range(n)]
+    nbs = graph._closed_masks()
     # v settles after max N[v]: no later vertex is v or one of its neighbours
-    settled = graph._settled_masks()
+    settled = _settled_masks(nbs)
     if method == "direct":
         # the state is N[A] on the unsettled vertices, with |A| in the bits
         # above them; it dies when a vertex settles undominated

@@ -20,7 +20,8 @@ linear extension and the comparisons are the poset's own.  The crosscut
 test is one cover-reachability sweep, and both crosscut sums are ``core``
 kernel folds of (AND of up-sets, AND of down-sets).  A lattice's |L|^2 pair
 checks, predicted by every generator before it builds one, and the 2^|C|
-subsets that some crosscut routes list are refused past the work budget.
+subsets that some crosscut routes list are refused past the work budget;
+the two sweeps are refused by the states they keep.
 """
 
 from __future__ import annotations
@@ -335,9 +336,7 @@ def blass_sagan_mobius(
         family = blass_sagan_family(lattice, crosscut, drop_meet_bound=drop_meet_condition)
     broken_sets = [bs.subset for bs in family]
     chosen = _chosen_broken(broken_sets, subfamily, "a prunable crosscut subset")
-    lin = crosscut.linear_extension()
-    _within_budget(1 << len(lin), f"crosscut has {len(lin)} elements")
-    ground = OrderedGroundSet(tuple(reversed(lin)))
+    ground = OrderedGroundSet(tuple(reversed(crosscut.linear_extension())))
     if family:
         circuits = CircuitFamily([bs.circuit for bs in family])
         derived = {bc.subset for bc in derive_broken_circuits(circuits, ground)}

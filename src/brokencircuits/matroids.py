@@ -18,7 +18,7 @@ import itertools
 from math import comb
 
 from .algebra import IntPolynomial
-from .core import WORK_BUDGET, _image_fold, _within_budget
+from .core import WORK_BUDGET, _image_fold, _mask_words, _within_budget
 from .errors import PreconditionError, SchemaError
 
 AXIOM_CAP = 12
@@ -167,12 +167,14 @@ class Matroid:
     @classmethod
     def uniform(cls, r, n):
         """U_{r,n}: every (r+1)-subset of 0..n-1 is a circuit; refused before
-        any is built when the C(n, r+1) circuits pass the work budget."""
+        any is built when the C(n, r+1) circuit masks, of ``_mask_words(n)``
+        words each, pass the work budget."""
         if not 0 <= r <= n:
             raise SchemaError("uniform matroid needs 0 <= r <= n")
         # C(n, k) = C(n, n - k) >= 2^k for n >= 2k, so k is cut where 2^k passes the budget
         k = max(0, min(r + 1, n - r - 1, WORK_BUDGET.bit_length()))
-        _within_budget(comb(n, k), f"U({r},{n}) has C({n},{r + 1}) circuits")
+        words = _mask_words(n)
+        _within_budget(comb(n, k) * words, f"U({r},{n}) has {words}-word masks of C({n},{r + 1}) circuits")
         circuits = list(itertools.combinations(range(n), r + 1)) if r < n else []
         return cls(range(n), circuits)
 

@@ -1,11 +1,12 @@
-"""One work budget behind every up-front refusal.
+"""One work budget behind every refusal.
 
-Each site predicts its steps from its inputs and asks ``core._within_budget``.
-For every site the last accepted size gets past the check and the first
-refused size raises ``CapExceeded`` naming the budget.  Where the accepted
-size would run long, the work after the check is patched to raise
-``Reached``, which shows the check was passed, or the budget is patched
-down.
+Each site predicts its steps from its inputs and asks ``core._within_budget``,
+or counts them as it goes: the pruned walk its subsets, the state sweep
+(``core._image_fold``) the states it keeps.  For every site the last
+accepted size gets past the check and the first refused size raises
+``CapExceeded`` naming the budget.  Where the accepted size would run long,
+the work after the check is patched to raise ``Reached``, which shows the
+check was passed, or the budget is patched down.
 """
 
 import argparse
@@ -84,22 +85,26 @@ def _chain(n, extra=0):
     return FinitePoset.from_covers(range(n + extra), [(i, i + 1) for i in range(n - 1)])
 
 
+# built under the real budget: a patched one would refuse their |L|^2 checks first
+_SWEPT_ATOMS = {k: _atoms_crosscut(k) for k in (20, 21)}
+
 # site -> (patch, accepted, refused): patch(monkeypatch) stubs the work after
 # the check; accepted and refused are the boundary calls
 SITES = {
-    "chromatic full, 2^|E|": (
-        lambda mp: mp.setattr(graphs, "_component_histogram", _reached),
+    # the sweep keeps 1,072 states over the first 20 edges of K7 and 1,094 over all 21
+    "chromatic full, sweep states": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1072),
         lambda: graphs.chromatic_polynomial(Graph(range(7), Graph.complete(7).edges[:20]), "full"),
         lambda: graphs.chromatic_polynomial(Graph.complete(7), "full"),
     ),
-    "hypergraph full, 2^|E|": (
-        lambda mp: mp.setattr(hypergraphs, "_component_histogram", _reached),
+    # a path of m edges keeps i + 2 states at level i: m(m + 3)/2 in all, 230 and 252
+    "hypergraph full, sweep states": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 230),
         lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(20), "full"),
         lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(21), "full"),
     ),
-    "hypergraph restricted, avoiding bound": (
-        lambda mp: mp.setattr(hypergraphs, "_component_histogram", _reached),
-        # no broken circuit, so the bound is all 2^|E| subsets
+    "hypergraph restricted, sweep states": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 230),
         lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(20), "restricted",
                                                  CircuitFamily([])),
         lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(21), "restricted",
@@ -161,10 +166,11 @@ SITES = {
         lambda: lattices.blass_sagan_family(*_stub_order(_atoms_crosscut(20))),
         lambda: lattices.blass_sagan_family(*_atoms_crosscut(21)),
     ),
-    "blass_sagan_mobius ground, 2^|C|": (
-        lambda mp: mp.setattr(lattices, "_crosscut_fold", _reached),
-        lambda: lattices.blass_sagan_mobius(*_atoms_crosscut(20), family=()),
-        lambda: lattices.blass_sagan_mobius(*_atoms_crosscut(21), family=()),
+    # k atoms keep 2 states at level 0 and i + 3 at level i: 249 for 20 atoms, 272 for 21
+    "blass_sagan_mobius sweep, states": (
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 249),
+        lambda: lattices.blass_sagan_mobius(*_SWEPT_ATOMS[20], family=()),
+        lambda: lattices.blass_sagan_mobius(*_SWEPT_ATOMS[21], family=()),
     ),
     "all_crosscuts, 2^|middle|": (
         lambda mp: mp.setattr(lattices, "iter_avoiding_masks", _reached),
@@ -198,10 +204,11 @@ SITES = {
         lambda: numbers.primes_upto(core.WORK_BUDGET),
         lambda: numbers.primes_upto(core.WORK_BUDGET + 1),
     ),
+    # n circuits of ceil(n / 64) mask words: 8,192 x 128 = 2^20, and 8,193 x 129 past it
     "uniform matroid, C(n, r+1)": (
         lambda mp: mp.setattr(matroids, "itertools", types.SimpleNamespace(combinations=_reached)),
-        lambda: Matroid.uniform(0, core.WORK_BUDGET),
-        lambda: Matroid.uniform(0, core.WORK_BUDGET + 1),
+        lambda: Matroid.uniform(0, 8192),
+        lambda: Matroid.uniform(0, 8193),
     ),
     # the walk counts the subsets it yields; a budget of 2^10 keeps the walk short
     "pruned walk, subsets of the free elements": (
@@ -309,6 +316,7 @@ def test_unbounded_generator_parameters_are_refused_at_once():
                  lambda: lattices.boolean_lattice(10 ** 12),
                  lambda: Matroid.uniform(2, 10 ** 12),
                  lambda: Matroid.uniform(2 ** 19, 2 ** 20),
+                 lambda: Matroid.uniform(0, 10 ** 6),
                  lambda: graphs.random_graph(None, 10 ** 12, 0.5),
                  lambda: core.random_cancelling_instance(None, 10 ** 12)):
         with pytest.raises(CapExceeded, match=BUDGET):
@@ -348,5 +356,6 @@ def test_sum_over_maxima_on_b5_sums_two_subsets():
 def test_constructors_check_membership_in_linear_time():
     start = time.perf_counter()
     assert len(_path_hypergraph(15_000).edges) == 15_000
-    assert len(Matroid.uniform(0, 20_000).circuits) == 20_000
+    # the largest U(0, n) whose circuit masks the budget admits
+    assert len(Matroid.uniform(0, 8_192).circuits) == 8_192
     assert time.perf_counter() - start < 1

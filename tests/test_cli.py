@@ -9,6 +9,7 @@ import time
 import pytest
 
 from brokencircuits import cli, core, graphs, io, matroids, verify
+from brokencircuits.algebra import IntPolynomial
 from brokencircuits.errors import SchemaError
 from brokencircuits.core import OrderedGroundSet, SetFunction, sum_full, sum_pruned
 
@@ -259,23 +260,34 @@ class TestMoreComputeKinds:
         assert "cap exceeded" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_full_hypergraph_route_refuses_the_4x4_grid(self, tmp_path):
-        # 36 edges: the default full method would fold 2^36 edge subsets
+    def test_both_hypergraph_routes_run_the_4x4_grid(self, tmp_path):
+        # 36 edges, but the sweeps keep few states, and both methods print one polynomial
         grid = cli_process("generate", "grid", "--m", "4", "--n", "4")
         assert grid.returncode == 0
         path = tmp_path / "grid4x4.json"
         path.write_text(grid.stdout)
-        proc = cli_process("compute", "hypergraph-chromatic", str(path))
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert "2^36 edge subsets" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        # the restricted method names its bound on the avoiding subsets
-        proc = cli_process("compute", "hypergraph-chromatic", str(path), "--method", "restricted")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert "up to 688747536 of the 2^36 edge subsets" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        polynomials = []
+        for method in ("full", "restricted"):
+            proc = cli_process("compute", "hypergraph-chromatic", str(path), "--method", method)
+            assert proc.returncode == 0, proc.stderr
+            polynomials.append(json.loads(proc.stdout)["polynomial"])
+        assert polynomials[0] == polynomials[1]
+
+    def test_full_graph_route_runs_k7_and_k8(self, tmp_path):
+        # past the broken-circuit route's 20-edge cycle cap, so the falling factorial
+        # x(x - 1)...(x - n + 1) stands in for its polynomial
+        for n in (7, 8):
+            k = {"kind": "graph", "vertices": list(range(n)),
+                 "edges": [[i, j] for i in range(n) for j in range(i + 1, n)]}
+            start = time.perf_counter()
+            proc = cli_process("compute", "graph-chromatic", write(tmp_path, f"k{n}.json", k),
+                               "--method", "full")
+            assert time.perf_counter() - start < 5
+            assert proc.returncode == 0, proc.stderr
+            falling = IntPolynomial([1])
+            for j in range(n):
+                falling = falling * IntPolynomial([-j, 1])
+            assert json.loads(proc.stdout)["polynomial"]["coeffs"] == [str(c) for c in falling.coeffs]
 
     def test_number_routes_at_720720(self):
         for kind, value in (("number-totient", "138240"), ("number-dirichlet-inverse", "5760")):
@@ -585,6 +597,21 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == ("cap exceeded: the walk over 200000 elements: "
                                f"past the work budget of {core.WORK_BUDGET} steps\n")
+
+    def test_many_vertices_run_or_are_refused_within_the_memory_limit(self, tmp_path):
+        # a 200,000-vertex graph with one edge: no |V|^2 neighbourhood masks are built
+        # for the edge routes
+        doc = {"kind": "graph", "vertices": list(range(200_000)), "edges": [[0, 1]]}
+        proc = cli_process("compute", "graph-chromatic", write(tmp_path, "g.json", doc), script=LIMITED)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counts"] == [1, 1]
+        # one edge of 1.2M vertices needs more frontier labels than there are code points
+        n = 1_200_000
+        doc = {"kind": "hypergraph", "vertices": list(range(n)), "edges": [list(range(n))]}
+        proc = cli_process("compute", "hypergraph-chromatic", write(tmp_path, "h.json", doc), script=LIMITED)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (f"cap exceeded: {n} touched vertices: past the {sys.maxunicode} "
+                               "that the sweep's labels can name\n")
 
     def test_prime_bound_past_the_budget_is_refused_before_the_sieve(self):
         # a sieve up to 10^10 would allocate 10 GB, past the 2 GB limit

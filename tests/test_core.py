@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -699,24 +700,29 @@ def test_sweep_states_name_each_block_by_its_smallest_live_vertex(monkeypatch):
     petersen = Graph(range(10), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
                                  (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
 
-    def assert_canonical(n_vertices, where):
+    def assert_canonical(labelled, where):
+        # the component sweep labels only the vertices some edge touches
         for _, labels in states:
-            names = set(labels) - {chr(n_vertices)}
+            names = set(labels) - {chr(labelled)}
             assert all(labels.find(c) == ord(c) for c in names), (where, labels)
         states.clear()
 
     for n_vertices, edges in _component_cases(random.Random(4200)) + [(10, petersen._edge_ends)]:
         core._component_histogram(n_vertices, edges)
-        assert_canonical(n_vertices, edges)
+        assert_canonical(len({v for vs in edges for v in vs}), edges)
     rng = random.Random(4201)
     for g in [petersen, Graph.cycle(9)] + [graphs.random_graph(rng, 9, 0.3) for _ in range(10)]:
         g._induced_sweep()
         assert_canonical(len(g.vertices), g.edges)
 
 
-def test_component_sweep_on_complete_graphs_is_the_falling_factorial():
+def test_component_sweep_on_complete_graphs_is_the_falling_factorial(monkeypatch):
+    from brokencircuits import graphs
     from brokencircuits.core import _component_histogram
     from brokencircuits.graphs import Graph, chromatic_polynomial
+
+    # the broken-circuit route lists cycles only up to CYCLE_CAP edges; K8 has 28
+    monkeypatch.setattr(graphs, "CYCLE_CAP", 28)
 
     for n in (7, 8):
         k = Graph.complete(n)
@@ -727,9 +733,47 @@ def test_component_sweep_on_complete_graphs_is_the_falling_factorial():
         for j in range(n):
             falling = falling * IntPolynomial([-j, 1])
         assert IntPolynomial(coeffs) == falling
-        # the full route keeps its cap of 20 edges
-        with pytest.raises(CapExceeded):
-            chromatic_polynomial(k, "full")
+        # past 20 edges the full route runs, bounded by its sweep's states alone
+        assert chromatic_polynomial(k, "full") == falling == chromatic_polynomial(k, "broken_circuit")
+
+
+def test_sweep_guard_admits_its_budget_and_refuses_one_step_past(monkeypatch):
+    from brokencircuits import graphs
+    from brokencircuits.graphs import Graph
+
+    # the state min(|A|, 1) keeps two states a level, at one mask word each up to 64
+    # positions and two past them: 2 x 64 and 2 x 65 x 2 steps
+    for n, steps in ((64, 128), (65, 260)):
+        monkeypatch.setattr(core, "WORK_BUDGET", steps)
+        assert core._image_fold(n, 0, lambda i, s: 1, lambda s: s) == {0: 1, 1: -1}
+        monkeypatch.setattr(core, "WORK_BUDGET", steps - 1)
+        with pytest.raises(CapExceeded, match=rf"^the sweep over {n} positions: past the work "
+                                              rf"budget of {steps - 1} steps$"):
+            core._image_fold(n, 0, lambda i, s: 1, lambda s: s)
+    # K4's component sweep keeps 28 states over its 6 edges
+    monkeypatch.setattr(core, "WORK_BUDGET", 28)
+    assert graphs.chromatic_polynomial(Graph.complete(4), "full") == IntPolynomial([0, -6, 11, -6, 1])
+    monkeypatch.setattr(core, "WORK_BUDGET", 27)
+    with pytest.raises(CapExceeded, match="the sweep over 6 positions: past the work budget of 27"):
+        graphs.chromatic_polynomial(Graph.complete(4), "full")
+
+
+def test_component_sweep_labels_only_the_touched_vertices(monkeypatch):
+    from brokencircuits import hypergraphs
+    from brokencircuits.hypergraphs import Hypergraph
+
+    # 10,000 vertices, 3 of them in the one edge: the states hold 3 characters
+    fold = core._image_fold
+    starts = []
+    monkeypatch.setattr(core, "_image_fold", lambda n, start, *rest: starts.append(start) or fold(n, start, *rest))
+    hg = Hypergraph(range(10_000), [{0, 5_000, 9_999}])
+    assert hypergraphs.hypergraph_chromatic(hg) == IntPolynomial([0] * 9_998 + [-1, 0, 1])
+    assert starts == [(10_000, "\x00\x01\x02")]
+    # the labels and the blank after them are code points, so past sys.maxunicode
+    # touched vertices the sweep is refused before it starts
+    monkeypatch.setattr(core, "sys", types.SimpleNamespace(maxunicode=2))
+    with pytest.raises(CapExceeded, match="3 touched vertices: past the 2 that the sweep's labels can name"):
+        hypergraphs.hypergraph_chromatic(hg)
 
 
 def test_settled_sweeps_leave_no_reference_cycles():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import comb
 
 import networkx as nx
@@ -99,17 +100,16 @@ class TestCycles:
 
 
 class TestChromatic:
-    def test_full_route_refuses_more_than_20_edges_before_folding(self, monkeypatch):
-        from brokencircuits import graphs
-
-        def fold(*args):
-            raise AssertionError("the full route folded past its edge cap")
-
-        monkeypatch.setattr(graphs, "_component_histogram", fold)
-        k7 = Graph.complete(7)
-        assert len(k7.edges) == 21
-        with pytest.raises(CapExceeded, match=r"2\^21 edge subsets: past the work budget"):
-            chromatic_polynomial(k7, "full")
+    def test_full_route_refuses_k20_by_its_sweep_states(self):
+        # no prediction from |E|: K7 and K8 run, and K20's 190 edges are refused once
+        # the states the sweep keeps pass the budget, with 9,980 isolated vertices too,
+        # since only the vertices that some edge touches are labelled
+        k20 = Graph.complete(20)
+        for graph in (k20, Graph(range(10_000), k20.edges)):
+            start = time.perf_counter()
+            with pytest.raises(CapExceeded, match="the sweep over 190 positions: past the work budget"):
+                chromatic_polynomial(graph, "full")
+            assert time.perf_counter() - start < 5
 
     def test_full_route_accepts_20_edges(self, monkeypatch):
         from brokencircuits import graphs
@@ -704,9 +704,9 @@ class TestFoldedPrunedRoutes:
 def _closed_mask(graph, vertex_mask):
     """N[A] of a vertex bitmask, from the closed neighbourhood of each vertex."""
     closed = 0
-    for i in range(len(graph.vertices)):
+    for i, mask in enumerate(graph._closed_masks()):
         if vertex_mask >> i & 1:
-            closed |= graph._nmask[1 << i]
+            closed |= mask
     return closed
 
 
