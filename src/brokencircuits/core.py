@@ -22,7 +22,6 @@ functions over immutable inputs, so concurrent use is safe.
 from __future__ import annotations
 
 import itertools
-import sys
 from functools import reduce
 from math import comb
 from operator import itemgetter, or_
@@ -460,10 +459,12 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     negated, at ``include(i, state)``, and states that cancel are dropped.
     The work is the sum of the distinct states per level, n times a small
     image (a gcd, lcm, hull, neighbourhood union, frontier partition or
-    contracted minor).  Each kept state costs ``_mask_words(n)`` steps, as
-    a subset of the pruned walk does, and the sweep is refused once the
-    states it has kept pass WORK_BUDGET: one check per level, and a level
-    holds at most twice the states of the one before it.
+    contracted minor).  Each state a level expands costs ``_mask_words(n)``
+    steps, as a subset of the pruned walk does, and the sweep is refused
+    before the level that would take its total past WORK_BUDGET: one check
+    per level.  Level i expands at most 2^i states, 2^n - 1 in all, so a
+    route that predicts its 2^n subsets within the budget is never refused
+    here.
 
     ``settle(i, state)``, when given, maps every state after position i,
     both the subsets that take i and those that do not.  It forgets what no
@@ -491,6 +492,8 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
     level = {(1 << len(pairs)) - 1: {start: 1}}
     words, work = _mask_words(n), 0
     for i in range(n):
+        work += sum(map(len, level.values())) * words
+        _within_budget(work, f"the sweep over {n} positions")
         nxt = {}
         dead, kept = done[i], ~(done[i] | held[i])
         for flags, states in level.items():
@@ -519,8 +522,6 @@ def _image_fold(n, start, include, key, settle=None, broken=()):
             states = {state: count for state, count in states.items() if count}
             if states:
                 level[flags] = states
-                work += len(states) * words
-        _within_budget(work, f"the sweep over {n} positions")
     hist = {}
     for states in level.values():
         for state, count in states.items():
@@ -573,13 +574,16 @@ def _component_histogram(n_vertices, edges, broken=()):
     live vertex, so merging two blocks is one ``str.replace``, and a vertex
     is settled after its last edge, since it can no longer change the count
     (Sekine, Imai and Tani, "Computing the Tutte polynomial of a graph of
-    moderate size", ISAAC 1995).  The characters and the blank after them
-    are code points, so past ``sys.maxunicode`` touched vertices it refuses.
+    moderate size", ISAAC 1995).  The guard counts states, not characters,
+    and a merge or settle passes over the whole string once per vertex of
+    its edge, so the sweep is refused up front when the edge ends times
+    the string's ``_mask_words`` pass the budget.  That keeps the labels to
+    at most 8,192 characters, all of them code points.
     """
     touched = sorted({v for vs in edges for v in vs})
-    if len(touched) > sys.maxunicode:
-        raise CapExceeded(f"{len(touched)} touched vertices: past the {sys.maxunicode} "
-                          "that the sweep's labels can name")
+    ends = sum(map(len, edges))
+    _within_budget(_mask_words(len(touched)) * ends,
+                   f"{len(touched)} frontier labels passed at {ends} edge ends")
     index = {v: k for k, v in enumerate(touched)}
     edges = [tuple(map(index.__getitem__, vs)) for vs in edges]
     start = (n_vertices, "".join(map(chr, range(len(touched)))))

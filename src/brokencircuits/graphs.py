@@ -21,6 +21,7 @@ from .algebra import BiPolynomial, IntPolynomial
 from .core import (
     CircuitFamily,
     OrderedGroundSet,
+    _bits,
     _block_settler,
     _broken_masks,
     _chosen_broken,
@@ -143,10 +144,18 @@ class Graph:
                     labels = labels.replace(name, low)
             return stat + weight + 1 - len(names), labels[:i] + low + labels[i + 1:]
 
-        # v settles at max N[v]
-        last = {v: max({v, *self._adj[v]}) for v in range(n)}
+        last = {v: i for i, m in enumerate(self._settled_masks()) for v in _bits(m)}
         return _image_fold(n, (0, blank * n), include, itemgetter(0),
                            _block_settler(n, last, blank), broken)
+
+    def _settled_masks(self):
+        """Per position i, the mask of the vertices v with max N[v] = i: once
+        i is decided, no later vertex is v or one of its neighbours.  The
+        frontier sweep, acyclic q and pruned domination all settle by it."""
+        settled = [0] * len(self.vertices)
+        for v, adj in enumerate(self._adj):
+            settled[max({v, *adj})] |= 1 << v
+        return settled
 
     def _closed_masks(self):
         """N[i] of each vertex i as a vertex bitmask: |V| masks of |V| bits,
@@ -168,15 +177,6 @@ class Graph:
         if set(new_order) != set(self.vertices) or len(new_order) != len(self.vertices):
             raise SchemaError("new order must be a permutation of the vertices")
         return Graph(new_order, self.edges)
-
-
-def _settled_masks(closed):
-    """Per position i, the mask of the vertices v with max N[v] = i, from the
-    ``closed`` masks: once i is decided, no later vertex is v or a neighbour."""
-    settled = [0] * len(closed)
-    for v, mask in enumerate(closed):
-        settled[mask.bit_length() - 1] |= 1 << v
-    return settled
 
 
 def _vertex_cycles(graph):
@@ -320,9 +320,8 @@ def q_at_minus_one(graph, method="direct"):
         else:
             # the state is (A on the unsettled vertices, |A| - m(G[A])); including i adds
             # 1 - |N(i) & A|, and a vertex settles once it and its neighbours are decided
-            closed = graph._closed_masks()
-            nbs = [m ^ (1 << i) for i, m in enumerate(closed)]
-            keep = [~m for m in _settled_masks(closed)]
+            nbs = [m ^ (1 << i) for i, m in enumerate(graph._closed_masks())]
+            keep = [~m for m in graph._settled_masks()]
 
             def include(i, state):
                 a, exponent = state
@@ -359,7 +358,7 @@ def domination_polynomial(graph, method="direct", broken=None):
     _within_budget(1 << n, f"the domination sum over 2^{n} vertex subsets")
     nbs = graph._closed_masks()
     # v settles after max N[v]: no later vertex is v or one of its neighbours
-    settled = _settled_masks(nbs)
+    settled = graph._settled_masks()
     if method == "direct":
         # the state is N[A] on the unsettled vertices, with |A| in the bits
         # above them; it dies when a vertex settles undominated

@@ -17,6 +17,7 @@ import types
 import pytest
 
 from brokencircuits import cli, core, geometry, graphs, hypergraphs, lattices, matroids, numbers
+from brokencircuits.algebra import IntPolynomial
 from brokencircuits.core import CircuitFamily, FinitePoset, OrderedGroundSet
 from brokencircuits.errors import CapExceeded
 from brokencircuits.graphs import Graph
@@ -37,6 +38,11 @@ def _reached(*args, **kwargs):
 
 def _path_hypergraph(m):
     return Hypergraph(range(m + 1), [frozenset({i, i + 1}) for i in range(m)])
+
+
+def _k7_hypergraph(m):
+    """The first m edges of K7 as a hypergraph."""
+    return Hypergraph(range(7), [frozenset(e) for e in Graph.complete(7).edges[:m]])
 
 
 def _atoms_lattice(k):
@@ -91,24 +97,30 @@ _SWEPT_ATOMS = {k: _atoms_crosscut(k) for k in (20, 21)}
 # site -> (patch, accepted, refused): patch(monkeypatch) stubs the work after
 # the check; accepted and refused are the boundary calls
 SITES = {
-    # the sweep keeps 1,072 states over the first 20 edges of K7 and 1,094 over all 21
+    # the sweep expands 1,066 states over the first 20 edges of K7 and 1,088 over all 21
     "chromatic full, sweep states": (
-        lambda mp: mp.setattr(core, "WORK_BUDGET", 1072),
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1066),
         lambda: graphs.chromatic_polynomial(Graph(range(7), Graph.complete(7).edges[:20]), "full"),
         lambda: graphs.chromatic_polynomial(Graph.complete(7), "full"),
     ),
-    # a path of m edges keeps i + 2 states at level i: m(m + 3)/2 in all, 230 and 252
+    # the same edges as 2-element hyperedges: the same sweep
     "hypergraph full, sweep states": (
-        lambda mp: mp.setattr(core, "WORK_BUDGET", 230),
-        lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(20), "full"),
-        lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(21), "full"),
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1066),
+        lambda: hypergraphs.hypergraph_chromatic(_k7_hypergraph(20), "full"),
+        lambda: hypergraphs.hypergraph_chromatic(_k7_hypergraph(21), "full"),
     ),
     "hypergraph restricted, sweep states": (
-        lambda mp: mp.setattr(core, "WORK_BUDGET", 230),
-        lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(20), "restricted",
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 1066),
+        lambda: hypergraphs.hypergraph_chromatic(_k7_hypergraph(20), "restricted",
                                                  CircuitFamily([])),
-        lambda: hypergraphs.hypergraph_chromatic(_path_hypergraph(21), "restricted",
+        lambda: hypergraphs.hypergraph_chromatic(_k7_hypergraph(21), "restricted",
                                                  CircuitFamily([])),
+    ),
+    # one edge of k vertices passes its k labels, k/64 words, k times: 8192 x 128 is the budget
+    "component sweep, frontier labels": (
+        lambda mp: None,
+        lambda: hypergraphs.hypergraph_chromatic(Hypergraph(range(8192), [range(8192)]), "full"),
+        lambda: hypergraphs.hypergraph_chromatic(Hypergraph(range(8193), [range(8193)]), "full"),
     ),
     "chain walk, chain count": (
         lambda mp: None,
@@ -166,9 +178,9 @@ SITES = {
         lambda: lattices.blass_sagan_family(*_stub_order(_atoms_crosscut(20))),
         lambda: lattices.blass_sagan_family(*_atoms_crosscut(21)),
     ),
-    # k atoms keep 2 states at level 0 and i + 3 at level i: 249 for 20 atoms, 272 for 21
+    # k atoms expand 1 state at position 0, 2 at 1 and i + 2 at i > 1: 228 for 20 and 250 for 21
     "blass_sagan_mobius sweep, states": (
-        lambda mp: mp.setattr(core, "WORK_BUDGET", 249),
+        lambda mp: mp.setattr(core, "WORK_BUDGET", 228),
         lambda: lattices.blass_sagan_mobius(*_SWEPT_ATOMS[20], family=()),
         lambda: lattices.blass_sagan_mobius(*_SWEPT_ATOMS[21], family=()),
     ),
@@ -353,9 +365,22 @@ def test_sum_over_maxima_on_b5_sums_two_subsets():
     assert (reduction.restricted, reduction.full, reduction.cancellation) == (0, None, None)
 
 
+def test_vertex_sweep_at_the_boundary_passes_the_guard(monkeypatch):
+    # K_{1,19} with its centre last settles nothing before the centre, so level i
+    # expands all 2^i subsets of the leaves before it: 2^20 - 1 states, the most a
+    # sweep over 20 positions can expand, and within the 2^20 the route predicts
+    star = Graph(range(20), [(i, 19) for i in range(19)])
+    charged = []
+    check = core._within_budget
+    monkeypatch.setattr(core, "_within_budget", lambda work, what: charged.append(work) or check(work, what))
+    x_plus_1 = IntPolynomial([1, 1])
+    assert graphs.domination_polynomial(star, "direct") == (
+        IntPolynomial([0, 1]) * x_plus_1 ** 19 + IntPolynomial([0] * 19 + [1]))
+    assert charged[-1] == (1 << 20) - 1
+
+
 def test_constructors_check_membership_in_linear_time():
     start = time.perf_counter()
     assert len(_path_hypergraph(15_000).edges) == 15_000
-    # the largest U(0, n) whose circuit masks the budget admits
-    assert len(Matroid.uniform(0, 8_192).circuits) == 8_192
+    assert len(Matroid(range(20_000), [(i,) for i in range(20_000)]).circuits) == 20_000
     assert time.perf_counter() - start < 1

@@ -605,13 +605,14 @@ class TestExitCodes:
         proc = cli_process("compute", "graph-chromatic", write(tmp_path, "g.json", doc), script=LIMITED)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["counts"] == [1, 1]
-        # one edge of 1.2M vertices needs more frontier labels than there are code points
+        # one edge of 1.2M vertices: each merge would pass its 1.2M frontier labels 1.2M
+        # times, and the labels would need more characters than there are code points
         n = 1_200_000
         doc = {"kind": "hypergraph", "vertices": list(range(n)), "edges": [list(range(n))]}
         proc = cli_process("compute", "hypergraph-chromatic", write(tmp_path, "h.json", doc), script=LIMITED)
         assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == (f"cap exceeded: {n} touched vertices: past the {sys.maxunicode} "
-                               "that the sweep's labels can name\n")
+        assert proc.stderr == (f"cap exceeded: {n} frontier labels passed at {n} edge ends: "
+                               f"past the work budget of {core.WORK_BUDGET} steps\n")
 
     def test_prime_bound_past_the_budget_is_refused_before_the_sieve(self):
         # a sieve up to 10^10 would allocate 10 GB, past the 2 GB limit

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import time
-import types
 from fractions import Fraction
 
 import pytest
@@ -741,21 +740,24 @@ def test_sweep_guard_admits_its_budget_and_refuses_one_step_past(monkeypatch):
     from brokencircuits import graphs
     from brokencircuits.graphs import Graph
 
-    # the state min(|A|, 1) keeps two states a level, at one mask word each up to 64
-    # positions and two past them: 2 x 64 and 2 x 65 x 2 steps
-    for n, steps in ((64, 128), (65, 260)):
+    # the state min(|A|, 1) has one state to expand at position 0 and two at each later
+    # one, at one mask word each up to 64 positions and two past them: 127 and 2 x 129 steps
+    for n, steps in ((64, 127), (65, 258)):
         monkeypatch.setattr(core, "WORK_BUDGET", steps)
         assert core._image_fold(n, 0, lambda i, s: 1, lambda s: s) == {0: 1, 1: -1}
         monkeypatch.setattr(core, "WORK_BUDGET", steps - 1)
         with pytest.raises(CapExceeded, match=rf"^the sweep over {n} positions: past the work "
                                               rf"budget of {steps - 1} steps$"):
             core._image_fold(n, 0, lambda i, s: 1, lambda s: s)
-    # K4's component sweep keeps 28 states over its 6 edges
-    monkeypatch.setattr(core, "WORK_BUDGET", 28)
-    assert graphs.chromatic_polynomial(Graph.complete(4), "full") == IntPolynomial([0, -6, 11, -6, 1])
-    monkeypatch.setattr(core, "WORK_BUDGET", 27)
-    with pytest.raises(CapExceeded, match="the sweep over 6 positions: past the work budget of 27"):
-        graphs.chromatic_polynomial(Graph.complete(4), "full")
+    # K7's component sweep expands 1,088 states over its 21 edges
+    falling = IntPolynomial([1])
+    for k in range(7):
+        falling = falling * IntPolynomial([-k, 1])
+    monkeypatch.setattr(core, "WORK_BUDGET", 1088)
+    assert graphs.chromatic_polynomial(Graph.complete(7), "full") == falling
+    monkeypatch.setattr(core, "WORK_BUDGET", 1087)
+    with pytest.raises(CapExceeded, match="the sweep over 21 positions: past the work budget of 1087"):
+        graphs.chromatic_polynomial(Graph.complete(7), "full")
 
 
 def test_component_sweep_labels_only_the_touched_vertices(monkeypatch):
@@ -769,10 +771,23 @@ def test_component_sweep_labels_only_the_touched_vertices(monkeypatch):
     hg = Hypergraph(range(10_000), [{0, 5_000, 9_999}])
     assert hypergraphs.hypergraph_chromatic(hg) == IntPolynomial([0] * 9_998 + [-1, 0, 1])
     assert starts == [(10_000, "\x00\x01\x02")]
-    # the labels and the blank after them are code points, so past sys.maxunicode
-    # touched vertices the sweep is refused before it starts
-    monkeypatch.setattr(core, "sys", types.SimpleNamespace(maxunicode=2))
-    with pytest.raises(CapExceeded, match="3 touched vertices: past the 2 that the sweep's labels can name"):
+    # a merge or settle passes the labels, one mask word, once per edge end: 3 steps
+    monkeypatch.setattr(core, "WORK_BUDGET", 3)
+    assert hypergraphs.hypergraph_chromatic(hg) == IntPolynomial([0] * 9_998 + [-1, 0, 1])
+    monkeypatch.setattr(core, "WORK_BUDGET", 2)
+    with pytest.raises(CapExceeded, match="^3 frontier labels passed at 3 edge ends: past the work budget of 2"):
+        hypergraphs.hypergraph_chromatic(hg)
+
+
+def test_component_sweep_of_many_large_edges_is_refused_before_it_starts(monkeypatch):
+    from brokencircuits import hypergraphs
+    from brokencircuits.hypergraphs import Hypergraph
+
+    # 200 disjoint edges of 500 vertices keep few states, but each state is 100,000
+    # characters and every merge passes them 500 times
+    hg = Hypergraph(range(100_000), [range(k * 500, (k + 1) * 500) for k in range(200)])
+    monkeypatch.setattr(core, "_image_fold", lambda *args: pytest.fail("swept"))
+    with pytest.raises(CapExceeded, match="^100000 frontier labels passed at 100000 edge ends: past"):
         hypergraphs.hypergraph_chromatic(hg)
 
 
