@@ -22,6 +22,7 @@ functions over immutable inputs, so concurrent use is safe.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import reduce
 from math import comb
 from operator import itemgetter, or_
@@ -32,12 +33,9 @@ CANCELLATION_CAP = 18
 # every route refuses up front when the steps it predicts pass this, a walk or sweep as it goes
 WORK_BUDGET = 1 << 20
 # iter_avoiding_masks expands its last elements, and sum_pruned its lowest,
-# at most this many, from tables of at most 2^SUFFIX_CUBE_BITS masks
+# at most this many, from tables of at most 2^SUFFIX_CUBE_BITS masks; the
+# walk keeps one such table per group of broken sets crossing into its suffix
 SUFFIX_CUBE_BITS = 10
-# iter_avoiding_masks keeps one suffix table per pattern of the prefix
-# positions that the broken sets reaching into the suffix read, while they
-# read at most this many
-SUFFIX_KEY_BITS = 4
 
 
 def _within_budget(work, what):
@@ -328,8 +326,9 @@ def _avoiding_prefixes(n, masks, positions, block):
     "absent" sorts before "present".  Each mask is indexed by the position
     of it decided last; when the walk considers adding position p, a mask
     indexed at p whose other positions are already present forbids the
-    inclusion branch.  An empty mask forbids everything.  Decreasing
-    positions yield the prefixes in increasing order.
+    inclusion branch.  An empty mask forbids everything.  A position's
+    one-bit prefixes are folded into one mask, so one AND tests them all.
+    Decreasing positions yield the prefixes in increasing order.
 
     The walk keeps an explicit stack: it follows the exclusion branch at
     once and pushes the allowed inclusion branch, so at most one entry per
@@ -347,8 +346,10 @@ def _avoiding_prefixes(n, masks, positions, block):
     words = _mask_words(n)
     free = len(positions) - reduce(or_, masks, 0).bit_count()
     _within_budget(2 ** min(free, WORK_BUDGET.bit_length()) * block * words, what)
-    # the masks of each decided position, in walk order
-    steps = [(by_last[p], p) for p in positions]
+    # each decided position in walk order: the OR of its one-bit prefixes and
+    # its other prefixes, the empty one (left by a one-element set) included
+    steps = [(reduce(or_, (q for q in by_last[p] if q.bit_count() == 1), 0),
+              tuple(q for q in by_last[p] if q.bit_count() != 1), p) for p in positions]
     cube = len(steps)
     stack = [(0, 0)]
     pop = stack.pop
@@ -360,7 +361,10 @@ def _avoiding_prefixes(n, masks, positions, block):
     while stack:
         i, acc = pop()
         while i < cube:
-            prefixes, pos = steps[i]
+            single, prefixes, pos = steps[i]
+            i += 1
+            if acc & single:
+                continue
             for prefix in prefixes:
                 if acc & prefix == prefix:
                     break
@@ -368,8 +372,7 @@ def _avoiding_prefixes(n, masks, positions, block):
                 if not room:
                     _within_budget((blocks + 1) * block * words, what)
                 room -= 1
-                push((i + 1, acc | (1 << pos)))
-            i += 1
+                push((i, acc | (1 << pos)))
         yield acc
 
 
@@ -397,18 +400,17 @@ def iter_avoiding_masks(ground, broken):
 
     The masks come out in the order of ``_avoiding_prefixes``: position 0
     is the most significant choice and "absent" sorts before "present".
-    The walk prunes by the minimal broken sets alone, which exclude the
-    same subsets as the whole family.  It decides the positions below a
-    cut at most SUFFIX_CUBE_BITS from the top, and after each prefix the
-    subsets of the positions from the cut on that it allows are expanded
-    from a table, in the same order.  A table depends only on which
-    positions of the sets reaching past the cut the prefix holds, so one
-    is built per such pattern while those sets read at most
-    SUFFIX_KEY_BITS positions below the cut; else the cut moves up to the
-    last broken set, past which every subset survives.  No list of the
-    surviving subsets is built.  The walk is refused by the work budget as
-    ``_avoiding_prefixes`` is, by the subsets each prefix is sure to
-    stand for, and at the latest at the prefix whose subsets pass it.
+    The walk prunes by the minimal broken sets alone.  It decides the
+    positions below a cut SUFFIX_CUBE_BITS from the top and expands the
+    rest from a table: the cube of the positions from the cut on, less
+    the subsets that include the high part of a set crossing the cut
+    whose low part the prefix holds.  The crossing sets are grouped by
+    their low part, ordered by its last position, so a prefix that first
+    differs from the one before at p keeps the tables of the groups that
+    end below p and refilters the rest, each from the one before.  Only
+    those tables are kept, one per group.  The walk is refused by the
+    work budget as ``_avoiding_prefixes`` is, and at the latest at the
+    prefix whose subsets pass it.
     """
     n = len(ground)
     masks = _minimal_masks(_broken_masks(ground, broken))
@@ -416,29 +418,27 @@ def iter_avoiding_masks(ground, broken):
         return
     cut = max(n - SUFFIX_CUBE_BITS, 0)
     below = (1 << cut) - 1
-    reach = reduce(or_, (m & below for m in masks if m >> cut), 0)
-    if reach.bit_count() > SUFFIX_KEY_BITS:
-        cut = max(cut, reduce(or_, masks, 0).bit_length())
-        below, reach = (1 << cut) - 1, 0
-    crossing = [(m & below, m & ~below) for m in masks if m >> cut]
-    free = n - cut - reduce(or_, (hi for _, hi in crossing), 0).bit_count()
+    groups = {}
+    for m in masks:
+        if m >> cut:
+            groups.setdefault(m & below, []).append(m & ~below)
+    groups = sorted(groups.items(), key=lambda g: g[0].bit_length())
+    ends = [lo.bit_length() for lo, _ in groups]
+    free = n - cut - (reduce(or_, masks, 0) >> cut).bit_count()
     prefixes = _avoiding_prefixes(n, [m for m in masks if not m >> cut], range(cut), 1 << free)
-    if not crossing:
-        # every subset of positions cut..n-1 survives after every prefix
-        suffix = _avoiding_table(n, [], range(n - 1, cut - 1, -1))
-        for acc in prefixes:
-            for s in suffix:
-                yield acc | s
-        return
-    tables = {}
-    count = 0
+    cube = _avoiding_table(n, [], range(n - 1, cut - 1, -1))
+    path = [cube] * len(groups)
+    count = last = 0
     words = _mask_words(n)
-    for acc in prefixes:
-        key = acc & reach
-        suffix = tables.get(key)
-        if suffix is None:
-            live = _minimal_masks([hi for lo, hi in crossing if key & lo == lo])
-            suffix = tables[key] = _avoiding_table(n, live, range(n - 1, cut - 1, -1))
+    for acc in prefixes:  # the first is 0, which refilters every group
+        moved, last = acc ^ last, acc
+        k = bisect_left(ends, (moved & -moved).bit_length())
+        suffix = path[k - 1] if k else cube
+        for j, (lo, highs) in enumerate(groups[k:], k):
+            if acc & lo == lo:
+                for h in highs:
+                    suffix = [s for s in suffix if s & h != h]
+            path[j] = suffix
         # a prefix may stand for more than the walk counts it for
         count += len(suffix)
         if count * words > WORK_BUDGET:

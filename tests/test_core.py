@@ -452,6 +452,96 @@ def test_avoiding_masks_is_a_lazy_generator():
     assert [next(walk) for _ in range(4)] == [0, 1 << 19, 1 << 18, 3 << 18]
 
 
+def _assert_walk_matches_references(ground, broken):
+    from brokencircuits.core import iter_avoiding_masks
+
+    n = len(ground)
+    bmasks = [ground.mask_of(b) for b in broken]
+    got = list(iter_avoiding_masks(ground, broken))
+    assert got == _recursive_avoiding(n, bmasks)
+    assert set(got) == _brute_avoiding(n, bmasks)
+
+
+def test_walk_matches_the_references_on_graph_broken_circuits():
+    # cycle broken sets crossing the cut read nearly every position below it,
+    # so nearly every prefix completes a different set of crossing groups
+    from brokencircuits.graphs import edge_broken_circuits, edge_ground, random_graph
+
+    rng = random.Random(41)
+    sizes = set()
+    while len(sizes) < 8:
+        graph = random_graph(rng, rng.randint(6, 9), 0.5)
+        if 11 <= len(graph.edges) <= 18 and len(graph.edges) not in sizes:
+            sizes.add(len(graph.edges))
+            _assert_walk_matches_references(edge_ground(graph), edge_broken_circuits(graph))
+
+
+@pytest.mark.parametrize("lattice", [boolean_lattice(4), partition_lattice(4)], ids=["B4", "Pi4"])
+def test_walk_matches_the_references_on_incomparable_pairs(lattice):
+    # the chains of B4 (16 elements) and Pi4 (15): pairs crossing the cut from
+    # every position below it
+    ground, incomparable = lattice._pair_ground()
+    _assert_walk_matches_references(ground, incomparable)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_walk_matches_the_references_past_the_cut(data):
+    # 11 to 18 elements, so the walk decides at least one position; sets of one to
+    # six elements, with empty, duplicate and top-position sets
+    n = data.draw(st.integers(11, 18), label="n")
+    sets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6)
+    broken = data.draw(st.lists(sets, max_size=8), label="broken")
+    if data.draw(st.booleans(), label="empty"):
+        broken.append(frozenset())
+    dup = data.draw(st.lists(st.sampled_from(broken), max_size=3), label="dup") if broken else []
+    broken += dup + [b | {n - 1} for b in dup]
+    _assert_walk_matches_references(OrderedGroundSet(range(n)), broken)
+
+
+def test_prefix_walk_folds_one_bit_prefixes():
+    # one-bit prefixes (pairs) are tested with one AND per position, while the
+    # empty prefix of a one-element set and longer prefixes are tested one by one
+    from brokencircuits.core import _avoiding_prefixes, _minimal_masks
+
+    rng = random.Random(58)
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        masks = [1 << rng.randrange(n) for _ in range(rng.randint(0, 2))]
+        masks += [sum(1 << p for p in rng.sample(range(n), min(k, n)))
+                  for k in (2, 2, 2, 3, 4) if rng.random() < 0.8]
+        minimal = _minimal_masks(masks)
+        assert list(_avoiding_prefixes(n, minimal, range(n), 1)) == _recursive_avoiding(n, minimal)
+        downward = list(_avoiding_prefixes(n, minimal, range(n - 1, -1, -1), 1))
+        assert downward == sorted(_brute_avoiding(n, minimal))
+
+
+def test_walk_keeps_one_table_per_crossing_group():
+    # 20 elements and the sets {i, 10 + i}: each of the 1,024 prefixes completes a
+    # different set of the ten crossing groups, so a table kept per key would take
+    # about 50 times the memory of one full table; the walk keeps one per group
+    import tracemalloc
+
+    from brokencircuits.core import iter_avoiding_masks
+
+    ground = OrderedGroundSet(range(20))
+    broken = [frozenset({i, 10 + i}) for i in range(10)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = [s | 1 << 20 for s in range(1 << 10)]
+        one = tracemalloc.get_traced_memory()[0] - base
+        del table
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        count = sum(1 for _ in iter_avoiding_masks(ground, broken))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count == 3 ** 10
+    assert peak <= len(broken) * one
+
+
 def _brute_fold(n, state_of_mask, broken=()):
     """The signed histogram computed per mask, from the subset's own state,
     over the masks that include no broken mask, with zero counts dropped

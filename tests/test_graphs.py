@@ -748,3 +748,28 @@ def test_cycle_listing_order_and_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_whitney_walk_decides_few_prefixes(monkeypatch):
+    # the walk decides the edges below its cut, 10 from the top, and expands the
+    # rest from tables keyed by the crossing broken circuits each prefix completes;
+    # cycles cross the cut from nearly every edge below it, so a walk that decided
+    # every avoiding subset up to the last broken circuit would decide 29,335
+    # prefixes on the grid and 8,340 on Petersen
+    from brokencircuits import core
+
+    walk = core._avoiding_prefixes
+    decided = []
+
+    def counted(*args):
+        for acc in walk(*args):
+            decided.append(acc)
+            yield acc
+
+    monkeypatch.setattr(core, "_avoiding_prefixes", counted)
+    for graph, prefixes, subsets in ((grid_graph(3, 4), 89, 58_670),
+                                     (Graph(range(10), PETERSEN_EDGES), 30, 16_680),
+                                     (Graph.complete(6), 6, 720)):
+        decided.clear()
+        assert sum(whitney_edge_counts(graph)) == subsets
+        assert len(decided) == prefixes
