@@ -128,11 +128,14 @@ class IntPolynomial:
     def sum_of(cls, values):
         """Sum of polynomials and ints (constants), adding coefficient columns
         in C 256 values at a time: zip_longest slows down over many more.
-        Other values raise TypeError, as ``IntPolynomial + Fraction`` does."""
+        An exact IntPolynomial's coefficients are read inline, with no call
+        per value; ints and subclasses go through ``_coeffs_of``. Other
+        values raise TypeError, as ``IntPolynomial + Fraction`` does."""
         total = ()
         values = iter(values)
         while block := list(islice(values, 256)):
-            total = tuple(map(sum, zip_longest(total, *map(_coeffs_of, block), fillvalue=0)))
+            columns = [v.coeffs if type(v) is IntPolynomial else _coeffs_of(v) for v in block]
+            total = tuple(map(sum, zip_longest(total, *columns, fillvalue=0)))
         return cls(total)
 
     def __sub__(self, other):

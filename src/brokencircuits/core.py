@@ -144,6 +144,10 @@ class SetFunction:
         subset_of = ground.subset_of
         return lambda mask: fn(subset_of(mask))
 
+    def values(self, ground):
+        """f at every subset of ``ground``, in mask order."""
+        return map(self.mask_function(ground), range(1 << len(ground)))
+
     def __repr__(self):
         return f"SetFunction({self.name})"
 
@@ -172,6 +176,12 @@ class TableSetFunction(SetFunction):
         if ground.elements == self._ground.elements:
             return self._table.__getitem__
         return super().mask_function(ground)
+
+    def values(self, ground):
+        """The table itself, read in bulk, when ``ground`` is in its order."""
+        if ground.elements == self._ground.elements:
+            return iter(self._table)
+        return super().values(ground)
 
 
 def sign_function(name="sign"):
@@ -645,7 +655,7 @@ def _group_sum(values, zero):
 def sum_full(f, ground):
     """Exact sum of f over all 2^n subsets (the unrestricted side)."""
     _within_budget(1 << len(ground), f"the full sum over 2^{len(ground)} subsets")
-    return _group_sum(map(f.mask_function(ground), range(1 << len(ground))), f.zero)
+    return _group_sum(f.values(ground), f.zero)
 
 
 def sum_pruned(f, ground, broken):

@@ -265,8 +265,7 @@ def _table_int(value):
 def whitney_to_obj(ground, circuits, f, broken="all", seed=None):
     if isinstance(f, TableSetFunction):
         entries = []
-        for mask in range(1 << len(ground)):
-            value = f._table[mask]
+        for mask, value in enumerate(f.values(ground)):
             if not _is_int(value):
                 raise SchemaError(
                     f"whitney instances hold integer tables only, got {type(value).__name__} values"

@@ -696,6 +696,19 @@ class TestWhitneyTables:
         _, _, _, parsed = io.parse_whitney(json.loads(json.dumps(obj)))
         assert [parsed._table[m] for m in range(32)] == f._table
 
+    def test_table_written_over_another_ground_order(self):
+        # the labels of each entry are read in the written order, so the
+        # values must be too
+        f = core.TableSetFunction(core.OrderedGroundSet((0, 1, 2)), range(8))
+        ground = core.OrderedGroundSet((2, 1, 0))
+        obj = io.whitney_to_obj(ground, [frozenset({1, 2})], f)
+        entries = {frozenset(labels): int(v) for labels, v in obj["function"]["entries"]}
+        assert entries[frozenset({2})] == 4
+        subsets = [ground.subset_of(m) for m in range(8)]
+        assert entries == {s: f(s) for s in subsets}
+        _, _, _, parsed = io.parse_whitney(json.loads(json.dumps(obj)))
+        assert [parsed(s) for s in subsets] == [f(s) for s in subsets]
+
     def test_polynomial_table_is_refused_on_write(self):
         ground, circuits, f = core.random_cancelling_instance(random.Random(1), 5, "poly")
         with pytest.raises(SchemaError, match="integer"):

@@ -160,6 +160,27 @@ class TestSums:
         g = OrderedGroundSet(range(5))
         assert sum_full(sign_function(), g) == 0
 
+    def test_sum_full_reads_a_same_ground_table_in_bulk(self, monkeypatch):
+        # the table's own order is summed without a per-mask lookup; any
+        # other order falls back to mask_function
+        def refuse(self, ground):
+            raise AssertionError("mask_function called")
+
+        ground = OrderedGroundSet(range(6))
+        f = TableSetFunction(ground, range(64))
+        monkeypatch.setattr(TableSetFunction, "mask_function", refuse)
+        assert sum_full(f, ground) == 64 * 63 // 2
+        with pytest.raises(AssertionError, match="mask_function"):
+            sum_full(f, ground.permuted(list(reversed(range(6)))))
+
+    def test_sum_of_adds_subclass_and_bool_values(self):
+        class Sub(IntPolynomial):
+            pass
+
+        got = IntPolynomial.sum_of([Sub([1, 2]), True, IntPolynomial([0, 0, 3]), Sub([-1])])
+        assert type(got) is IntPolynomial
+        assert got.coeffs == (1, 2, 3)
+
     def test_sum_pruned_matches_theorem_on_k3(self):
         g = OrderedGroundSet([0, 1, 2])
         f = k3_chromatic_function()
@@ -402,6 +423,26 @@ def test_pruned_sum_by_blocks_equals_the_sum_over_the_walk(data):
     for f in functions:
         walked = sum(map(f.mask_function(ground), masks), f.zero)
         assert sum_pruned(f, ground, broken) == walked, (f, broken)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_full_sum_of_a_table_equals_the_brute_sum(data):
+    # the bulk read on the table's own order and the fallback on a permuted
+    # one, against f summed over every subset of labels
+    n = data.draw(st.integers(0, 8), label="n")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    ground, functions = _sum_cases(rng, n)
+    subsets = [
+        frozenset(c) for k in range(n + 1) for c in itertools.combinations(ground, k)
+    ]
+    for f in functions[:2]:
+        brute = f.zero
+        for subset in subsets:
+            brute = brute + f(subset)
+        assert sum_full(f, ground) == brute
+        assert sum_full(f, ground.permuted(perm)) == brute
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 12])
